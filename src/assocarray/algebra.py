@@ -1,9 +1,9 @@
 """Pluggable value algebras.
 
 An :class:`Algebra` bundles a carrier of :class:`~assocarray.values.Value`
-elements with two binary operations, their designated identity elements
-(``zero`` and ``one``), and declared law flags.  ``zero`` doubles as the
-sparsity element: the array layer stores only values that differ from it.
+elements with two binary operations and their designated identity elements
+(``zero`` and ``one``).  ``zero`` doubles as the sparsity element: the array
+layer stores only values that differ from it.
 
 Carriers come in two shapes.  Finite carriers are enumerated outright and can
 be checked exhaustively; infinite ones carry a membership predicate plus a
@@ -48,23 +48,6 @@ _ALNUM_RE = re.compile(r"[A-Za-z0-9]*")
 
 
 @dataclass(frozen=True)
-class LawFlags:
-    """Declared (not verified) properties of the two operations.
-
-    The flags exist to authorize reduction reorderings such as parallel
-    accumulation; they are never consulted for correctness decisions.
-    """
-
-    plus_associative: bool = False
-    plus_commutative: bool = False
-    times_associative: bool = False
-    times_commutative: bool = False
-
-
-ALL_LAWS = LawFlags(True, True, True, True)
-
-
-@dataclass(frozen=True)
 class Algebra:
     """A value set closed under two operations, with designated identities.
 
@@ -83,7 +66,6 @@ class Algebra:
     decode_op: Callable[[str], Value]
     carrier: tuple[Value, ...] | None = None
     sample_op: Callable[[random.Random], Value] | None = None
-    law_flags: LawFlags = LawFlags()
     known_failures: Mapping[str, tuple[Value, ...]] = field(default_factory=dict)
     analytically_compliant: bool = False
 
@@ -107,9 +89,6 @@ class Algebra:
         self._require_member(a)
         self._require_member(b)
         return self.times_op(a, b)
-
-    def is_zero(self, v: Value) -> bool:
-        return v == self.zero
 
     def decode(self, text: str) -> Value:
         return self.decode_op(text)
@@ -241,7 +220,6 @@ def _natural() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(rng.randint(0, 20)),
-        law_flags=ALL_LAWS,
         analytically_compliant=True,
     )
 
@@ -260,7 +238,6 @@ def _nonneg_rational() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(Fraction(rng.randint(0, 10), rng.randint(1, 10))),
-        law_flags=ALL_LAWS,
         analytically_compliant=True,
     )
 
@@ -279,7 +256,6 @@ def _integer_ring() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(rng.randint(-10, 10)),
-        law_flags=ALL_LAWS,
         # Additive inverses exist: 1 + (-1) = 0.  Products of nonzero integers
         # are nonzero and multiplication by 0 yields 0, so the other checks hold.
         known_failures={CHECK_CRITERION1: (Value.number(1), Value.number(-1))},
@@ -308,7 +284,6 @@ def _max_plus_realzero() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(rng.randint(-10, 10)),
-        law_flags=ALL_LAWS,
         known_failures={
             CHECK_IDENTITY: (Value.number(-1),),
             CHECK_CRITERION2: (Value.number(5), Value.number(-5)),
@@ -339,7 +314,6 @@ def _max_min_chain(levels: int) -> Algebra:
         contains_op=lambda v: v in members,
         decode_op=decode_op,
         carrier=carrier,
-        law_flags=ALL_LAWS,
     )
 
 
@@ -383,7 +357,6 @@ def _max_min_strings() -> Algebra:
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
-        law_flags=ALL_LAWS,
         analytically_compliant=True,
     )
 
@@ -439,7 +412,6 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         decode_op=decode_op,
         carrier=carrier,
         sample_op=sample_op,
-        law_flags=ALL_LAWS,
         analytically_compliant=carrier is None,
     )
 
@@ -465,7 +437,6 @@ def _boolean_or_and() -> Algebra:
         contains_op=lambda v: v in (zero, one),
         decode_op=decode_op,
         carrier=carrier,
-        law_flags=ALL_LAWS,
     )
 
 

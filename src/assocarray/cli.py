@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     BUILTIN_FAMILY_NAMES,
@@ -48,9 +47,9 @@ from .fileio import (
     serialize_edge_list,
     serialize_triples,
 )
+# check_word_consistency is unused here but stays: perfbench/tracing.py wraps it.
 from .graph import (
     adjacency,
-    adjacency_oracle,
     check_word_consistency,
     document_adjacency,
     incidence_arrays,
@@ -74,67 +73,55 @@ _CHECK_DISPLAY = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    algebra: str | None = None
-    universe: str | None = None
-    levels: int | None = None
-    input: str | None = None
-    output: str | None = None
-    seed: int = 0
-    force_full_matmul: bool = False
-    criterion: int | None = None
+def _read_text(path: str) -> str:
+    """Read a UTF-8 file; undecodable bytes are a parse error on their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = 1 + data.count(b"\n", 0, exc.start)
+        raise ParseError(path, line_no, "line", f"not valid UTF-8 ({exc.reason})") from None
 
 
-def resolve_algebra(cfg: CliConfig) -> Algebra:
+def resolve_algebra(args: argparse.Namespace) -> Algebra:
     """Turn the ``--algebra`` selector into an Algebra.
 
     Builtin family names (with aliases, hyphens allowed) win; anything else
     must be a path to a finite-algebra table file.
     """
-    if cfg.algebra is None:
-        raise ConfigurationError("an --algebra is required")
-    name = cfg.algebra.replace("-", "_")
+    name = args.algebra.replace("-", "_")
     name = _ALIASES.get(name, name)
     if name in BUILTIN_FAMILY_NAMES:
         params = {}
         if name == "max_min_chain":
-            if cfg.levels is None:
+            if args.levels is None:
                 raise ConfigurationError("max_min_chain needs --levels")
-            params["levels"] = cfg.levels
-        elif cfg.levels is not None:
+            params["levels"] = args.levels
+        elif args.levels is not None:
             raise ConfigurationError(f"{name} does not take --levels")
         if name == "powerset":
-            if cfg.universe is None:
+            if args.universe is None:
                 raise ConfigurationError("powerset needs --universe (comma-separated tokens)")
-            tokens = [t for t in cfg.universe.split(",") if t]
+            tokens = [t for t in args.universe.split(",") if t]
             params["universe"] = tokens
-        elif cfg.universe is not None:
+        elif args.universe is not None:
             raise ConfigurationError(f"{name} does not take --universe")
         return make_builtin(name, **params)
-    if os.path.isfile(cfg.algebra):
-        with open(cfg.algebra, encoding="utf-8") as fh:
-            spec = parse_finite_algebra(fh.read(), role=cfg.algebra)
-        stem = os.path.splitext(os.path.basename(cfg.algebra))[0]
+    if os.path.isfile(args.algebra):
+        spec = parse_finite_algebra(_read_text(args.algebra), role=args.algebra)
+        stem = os.path.splitext(os.path.basename(args.algebra))[0]
         return from_finite_spec(spec, name=stem)
     raise ConfigurationError(
-        f"{cfg.algebra!r} is neither a builtin algebra nor an existing file"
+        f"{args.algebra!r} is neither a builtin algebra nor an existing file"
     )
 
 
-def _read_input(cfg: CliConfig) -> str:
-    if cfg.input is None:
-        raise ConfigurationError("an --input file is required")
-    with open(cfg.input, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _write_output(cfg: CliConfig, data: str) -> None:
-    if cfg.output is None:
+def _write_output(args: argparse.Namespace, data: str) -> None:
+    if args.output is None:
         sys.stdout.write(data)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
 
 
@@ -152,19 +139,19 @@ def _warn_uncertified(alg: Algebra, report) -> None:
         )
 
 
-def _adjacency_common(cfg: CliConfig, reverse: bool) -> int:
-    alg = resolve_algebra(cfg)
-    graph = parse_edge_list(_read_input(cfg), alg, role=cfg.input)
-    report = validate(alg, seed=cfg.seed)
+def _adjacency_common(args: argparse.Namespace, reverse: bool) -> int:
+    alg = resolve_algebra(args)
+    graph = parse_edge_list(_read_text(args.input), alg, role=args.input)
+    report = validate(alg, seed=args.seed)
     if not report.certified:
         _warn_uncertified(alg, report)
-    fast = report.certified and not cfg.force_full_matmul
+    fast = report.certified and not args.force_full_matmul
     pair = incidence_arrays(graph, alg)
     if reverse:
         adj = reverse_adjacency(pair, alg, skip_zeros=fast)
     else:
         adj = adjacency(pair, alg, skip_zeros=fast)
-    _write_output(cfg, serialize_triples(adj))
+    _write_output(args, serialize_triples(adj))
     vertices = {v for e in graph for v in (*e.sources, *e.targets)}
     print(
         f"vertices={len(vertices)} edges={len(graph)} nonzeros={adj.nnz}",
@@ -173,34 +160,34 @@ def _adjacency_common(cfg: CliConfig, reverse: bool) -> int:
     return 0
 
 
-def cmd_adjacency(cfg: CliConfig) -> int:
-    return _adjacency_common(cfg, reverse=False)
+def cmd_adjacency(args: argparse.Namespace) -> int:
+    return _adjacency_common(args, reverse=False)
 
 
-def cmd_reverse_adjacency(cfg: CliConfig) -> int:
-    return _adjacency_common(cfg, reverse=True)
+def cmd_reverse_adjacency(args: argparse.Namespace) -> int:
+    return _adjacency_common(args, reverse=True)
 
 
-def cmd_validate(cfg: CliConfig) -> int:
-    alg = resolve_algebra(cfg)
-    report = validate(alg, seed=cfg.seed)
+def cmd_validate(args: argparse.Namespace) -> int:
+    alg = resolve_algebra(args)
+    report = validate(alg, seed=args.seed)
     print(report.to_text(), file=sys.stderr)
-    _write_output(cfg, "".join(line + "\n" for line in report.to_machine_lines()))
+    _write_output(args, "".join(line + "\n" for line in report.to_machine_lines()))
     return 0 if report.certified else 1
 
 
-def _build_witness(cfg: CliConfig, alg: Algebra) -> WitnessCase:
-    report = validate(alg, seed=cfg.seed)
+def _build_witness(args: argparse.Namespace, alg: Algebra) -> WitnessCase:
+    report = validate(alg, seed=args.seed)
     by_criterion = {1: report.crit1, 2: report.crit2, 3: report.crit3}
-    verdict = by_criterion[cfg.criterion]
+    verdict = by_criterion[args.criterion]
     if verdict.passed:
         raise PreconditionError(
             f"no witness exists from checker output: "
-            f"{alg.name} passes criterion {cfg.criterion} ({verdict.mode})"
+            f"{alg.name} passes criterion {args.criterion} ({verdict.mode})"
         )
-    if cfg.criterion == 1:
+    if args.criterion == 1:
         return witness_additive_inverse(*verdict.witness, alg)
-    if cfg.criterion == 2:
+    if args.criterion == 2:
         return witness_zero_product(*verdict.witness, alg)
     return witness_annihilator(*verdict.witness, alg)
 
@@ -218,36 +205,30 @@ def _format_witness(rep: MismatchReport, wc: WitnessCase) -> str:
     return "".join(chunks)
 
 
-def cmd_witness(cfg: CliConfig) -> int:
-    alg = resolve_algebra(cfg)
+def cmd_witness(args: argparse.Namespace) -> int:
+    alg = resolve_algebra(args)
     try:
-        wc = _build_witness(cfg, alg)
+        wc = _build_witness(args, alg)
         rep = demonstrate(wc, alg)
     except PreconditionError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     print(wc.description, file=sys.stderr)
-    _write_output(cfg, _format_witness(rep, wc))
+    _write_output(args, _format_witness(rep, wc))
     return 0
 
 
-def cmd_doc_adjacency(cfg: CliConfig) -> int:
-    triples = parse_set_triples(_read_input(cfg), role=cfg.input)
+def cmd_doc_adjacency(args: argparse.Namespace) -> int:
+    triples = parse_set_triples(_read_text(args.input), role=args.input)
     tokens = sorted({t for _, _, v in triples for t in v.payload})
     alg = make_builtin("powerset", universe=tokens)
     shared = from_triples(triples, alg)
-    violation = check_word_consistency(shared)
-    if violation is not None:
-        print(
-            f"inconsistent: word {violation.word!r} appears at "
-            f"({violation.row_a}, {violation.col_a}) and "
-            f"({violation.row_b}, {violation.col_b}) "
-            f"but not at ({violation.row_a}, {violation.col_b})",
-            file=sys.stderr,
-        )
+    try:
+        adj = document_adjacency(shared)
+    except PreconditionError as exc:
+        print(f"inconsistent: {exc}", file=sys.stderr)
         return 1
-    adj = document_adjacency(shared)
-    _write_output(cfg, serialize_triples(adj))
+    _write_output(args, serialize_triples(adj))
     print(f"documents={len(shared.row_keys)} words={len(tokens)}", file=sys.stderr)
     return 0
 
@@ -308,23 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = CliConfig(
-        subcommand=args.subcommand,
-        algebra=getattr(args, "algebra", None),
-        universe=getattr(args, "universe", None),
-        levels=getattr(args, "levels", None),
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        seed=getattr(args, "seed", 0),
-        force_full_matmul=getattr(args, "force_full_matmul", False),
-        criterion=getattr(args, "criterion", None),
-    )
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
-    except (ParseError, ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssocArrayError as exc:
+        return _COMMANDS[args.subcommand](args)
+    except (AssocArrayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

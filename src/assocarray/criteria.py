@@ -15,6 +15,7 @@ zero falsely connects.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -63,11 +64,6 @@ class Verdict:
         return f"FAIL, witness {shown}"
 
 
-def _pass(alg: Algebra, samples: int) -> Verdict:
-    mode = "exhaustive" if alg.is_finite else f"sampled {samples}"
-    return Verdict(passed=True, mode=mode)
-
-
 def _violates(alg: Algebra, check: str, witness: tuple[Value, ...]) -> bool:
     if check == CHECK_IDENTITY:
         (v,) = witness
@@ -100,81 +96,56 @@ def _fail(alg: Algebra, check: str, witness: tuple[Value, ...]) -> Verdict:
     return Verdict(passed=False, witness=witness)
 
 
-def _known_failure(alg: Algebra, check: str) -> Verdict | None:
-    witness = alg.known_failures.get(check)
-    if witness is None:
-        return None
-    return _fail(alg, check, tuple(witness))
+def _check(alg: Algebra, check: str, samples: int, seed: int) -> Verdict:
+    """Decide one check: a known failure wins, else every candidate is tried.
+
+    Candidates are the carrier (or every pair of nonzero members) when it is
+    finite, else ``samples`` seeded draws; the first violation is replayed.
+    """
+    known = alg.known_failures.get(check)
+    if known is not None:
+        return _fail(alg, check, tuple(known))
+    rng = random.Random(seed)
+    if check in (CHECK_IDENTITY, CHECK_CRITERION3):
+        candidates = alg.carrier if alg.is_finite else (alg.sample(rng) for _ in range(samples))
+        for v in candidates:
+            if _violates(alg, check, (v,)):
+                return _fail(alg, check, (v,))
+    else:
+        # Pairs are O(n^2), so the operation is bound once and tested inline;
+        # _violates only replays the witness found.
+        op = alg.plus_op if check == CHECK_CRITERION1 else alg.times_op
+        zero = alg.zero
+        if alg.is_finite:
+            nonzero = [v for v in alg.carrier if v != zero]
+            pairs: Iterable[tuple[Value, ...]] = itertools.product(nonzero, repeat=2)
+        else:
+            pairs = ((alg.sample_nonzero(rng), alg.sample_nonzero(rng)) for _ in range(samples))
+        for v, w in pairs:
+            if op(v, w) == zero:
+                return _fail(alg, check, (v, w))
+    mode = "exhaustive" if alg.is_finite else f"sampled {samples}"
+    return Verdict(passed=True, mode=mode)
 
 
 def check_identity_laws(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
     """Verify zero is a two-sided plus identity and one a two-sided times identity."""
-    known = _known_failure(alg, CHECK_IDENTITY)
-    if known is not None:
-        return known
-    if alg.is_finite:
-        candidates: Iterable[Value] = alg.carrier
-    else:
-        rng = random.Random(seed)
-        candidates = (alg.sample(rng) for _ in range(samples))
-    for v in candidates:
-        if _violates(alg, CHECK_IDENTITY, (v,)):
-            return _fail(alg, CHECK_IDENTITY, (v,))
-    return _pass(alg, samples)
+    return _check(alg, CHECK_IDENTITY, samples, seed)
 
 
 def check_no_additive_inverses(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
     """Verify no two nonzero values sum to zero."""
-    known = _known_failure(alg, CHECK_CRITERION1)
-    if known is not None:
-        return known
-    if alg.is_finite:
-        nonzero = [v for v in alg.carrier if v != alg.zero]
-        pairs: Iterable[tuple[Value, Value]] = ((v, w) for v in nonzero for w in nonzero)
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (alg.sample_nonzero(rng), alg.sample_nonzero(rng)) for _ in range(samples)
-        )
-    for v, w in pairs:
-        if alg.plus_op(v, w) == alg.zero:
-            return _fail(alg, CHECK_CRITERION1, (v, w))
-    return _pass(alg, samples)
+    return _check(alg, CHECK_CRITERION1, samples, seed)
 
 
 def check_zero_product(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
     """Verify no two nonzero values multiply to zero."""
-    known = _known_failure(alg, CHECK_CRITERION2)
-    if known is not None:
-        return known
-    if alg.is_finite:
-        nonzero = [v for v in alg.carrier if v != alg.zero]
-        pairs: Iterable[tuple[Value, Value]] = ((v, w) for v in nonzero for w in nonzero)
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (alg.sample_nonzero(rng), alg.sample_nonzero(rng)) for _ in range(samples)
-        )
-    for v, w in pairs:
-        if alg.times_op(v, w) == alg.zero:
-            return _fail(alg, CHECK_CRITERION2, (v, w))
-    return _pass(alg, samples)
+    return _check(alg, CHECK_CRITERION2, samples, seed)
 
 
 def check_annihilator(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
     """Verify multiplying by zero yields zero, on both sides."""
-    known = _known_failure(alg, CHECK_CRITERION3)
-    if known is not None:
-        return known
-    if alg.is_finite:
-        candidates: Iterable[Value] = alg.carrier
-    else:
-        rng = random.Random(seed)
-        candidates = (alg.sample(rng) for _ in range(samples))
-    for v in candidates:
-        if _violates(alg, CHECK_CRITERION3, (v,)):
-            return _fail(alg, CHECK_CRITERION3, (v,))
-    return _pass(alg, samples)
+    return _check(alg, CHECK_CRITERION3, samples, seed)
 
 
 @dataclass(frozen=True)

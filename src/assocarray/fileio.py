@@ -10,6 +10,8 @@ order so that parse and serialize round-trip byte-identically.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .algebra import Algebra, FiniteAlgebraSpec
 from .array import AssociativeArray, Triple, check_key
 from .errors import AssocArrayError, ValidationError
@@ -48,8 +50,7 @@ def _checked_key(role: str, line_no: int, field: str, raw: str) -> str:
         raise ParseError(role, line_no, field, str(exc)) from None
 
 
-def parse_triples(text: str, alg: Algebra, *, role: str = "triples") -> list[Triple]:
-    """Parse value triples; zero-valued triples are kept (dropped on ingestion)."""
+def _parse_triples(text: str, decode: Callable[[str], Value], role: str) -> list[Triple]:
     triples: list[Triple] = []
     for line_no, line in _logical_lines(text):
         fields = line.split("\t")
@@ -60,30 +61,21 @@ def parse_triples(text: str, alg: Algebra, *, role: str = "triples") -> list[Tri
         row = _checked_key(role, line_no, "row key", fields[0])
         col = _checked_key(role, line_no, "column key", fields[1])
         try:
-            value = alg.decode(fields[2])
+            value = decode(fields[2])
         except ValueError as exc:
             raise ParseError(role, line_no, "value", str(exc)) from None
         triples.append((row, col, value))
     return triples
+
+
+def parse_triples(text: str, alg: Algebra, *, role: str = "triples") -> list[Triple]:
+    """Parse value triples; zero-valued triples are kept (dropped on ingestion)."""
+    return _parse_triples(text, alg.decode_op, role)
 
 
 def parse_set_triples(text: str, *, role: str = "triples") -> list[Triple]:
     """Parse triples whose values are token sets, with no universe fixed yet."""
-    triples: list[Triple] = []
-    for line_no, line in _logical_lines(text):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                role, line_no, "line", f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        row = _checked_key(role, line_no, "row key", fields[0])
-        col = _checked_key(role, line_no, "column key", fields[1])
-        try:
-            value = parse_token_set(fields[2])
-        except ValueError as exc:
-            raise ParseError(role, line_no, "value", str(exc)) from None
-        triples.append((row, col, value))
-    return triples
+    return _parse_triples(text, parse_token_set, role)
 
 
 def serialize_triples(arr: AssociativeArray) -> str:
@@ -201,20 +193,23 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
             raise ParseError(role, line_no, "line", f"expected `{name}:`, got {line!r}")
         return line_no, rest.strip()
 
-    def decode_cell(line_no: int, field: str, raw: str) -> Value:
-        try:
-            return decode_any(raw)
-        except ValueError as exc:
-            raise ParseError(role, line_no, field, str(exc)) from None
-
     line_no, raw_elements = directive("elements")
     names = [p.strip() for p in _split_top_level_commas(raw_elements)]
     if names == [""]:
         raise ParseError(role, line_no, "elements", "element list is empty")
-    elements = tuple(
-        decode_cell(line_no, f"element {i + 1}", name) for i, name in enumerate(names)
-    )
-    index = {encode_value(v): i for i, v in enumerate(elements)}
+    elements = []
+    for i, name in enumerate(names):
+        try:
+            v = decode_any(name)
+        except ValueError as exc:
+            raise ParseError(role, line_no, f"element {i + 1}", str(exc)) from None
+        if encode_value(v) != name:
+            raise ParseError(
+                role, line_no, f"element {i + 1}",
+                f"{name!r} is not canonical; write it as {encode_value(v)!r}",
+            )
+        elements.append(v)
+    index = {name: i for i, name in enumerate(names)}
     if len(index) != len(elements):
         raise ParseError(role, line_no, "elements", "duplicate element names")
 
@@ -256,7 +251,7 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
         raise ParseError(role, line_no, "line", f"unexpected content after tables: {line!r}")
 
     spec = FiniteAlgebraSpec(
-        elements=elements,
+        elements=tuple(elements),
         zero_index=identities["zero"],
         one_index=identities["one"],
         plus_table=tables["plus"],

@@ -235,19 +235,18 @@ def check_word_consistency(E: AssociativeArray) -> WordOverlapViolation | None:
             raise DomainError(f"entry ({r}, {c}) holds {encode_value(v)}, not a token set")
         for word in v.payload:
             occurrences.setdefault(word, set()).add((r, c))
-    violations: list[tuple[str, str, str, str, str]] = []
-    for word, coords in occurrences.items():
-        rows = {r for r, _ in coords}
-        cols = {c for _, c in coords}
-        if len(coords) == len(rows) * len(cols):
-            continue
-        for (i, j) in coords:
-            for (m, n) in coords:
-                if (i, n) not in coords:
-                    violations.append((i, j, m, n, word))
-    if not violations:
-        return None
-    return WordOverlapViolation(*min(violations))
+    earliest = min(
+        (
+            (i, j, m, n, word)
+            for word, coords in occurrences.items()
+            if len(coords) != len({r for r, _ in coords}) * len({c for _, c in coords})
+            for (i, j) in coords
+            for (m, n) in coords
+            if (i, n) not in coords
+        ),
+        default=None,
+    )
+    return None if earliest is None else WordOverlapViolation(*earliest)
 
 
 def document_adjacency(E: AssociativeArray) -> AssociativeArray:

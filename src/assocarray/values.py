@@ -24,7 +24,6 @@ TOP_ENCODING = "<TOP>"
 
 _NUMBER_FORM = re.compile(r"-?\d+(?:/\d+)?")
 _TOKEN_FORBIDDEN = re.compile(r"[\s,{}]")
-_ALNUM = re.compile(r"[A-Za-z0-9]*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +134,3 @@ def decode_any(text: str) -> Value:
     if "\t" in text or "\n" in text or "\r" in text:
         raise ValueError("string value may not contain tab or newline characters")
     return Value(TEXT, text)
-
-
-def is_alnum_text(v: Value) -> bool:
-    return v.kind == TEXT and isinstance(v.payload, str) and bool(_ALNUM.fullmatch(v.payload))

@@ -182,6 +182,25 @@ def test_parse_failure_exits_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_non_utf8_input_exits_2_with_line(capsys, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"k1\ta\tb\n# note\nk2\tb\t\xffc\n")
+    code, out, err = run(capsys, "adjacency", "--algebra", "natural", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_table_exits_2_with_line(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"elements: 0,1\nzero: 0\none: 1\nplus:\n0,1\n1,\xff\ntimes:\n0,0\n0,1\n")
+    code, out, err = run(capsys, "validate", "--algebra", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "line 6" in err and "UTF-8" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["adjacency", "--no-such-flag"])

@@ -216,6 +216,16 @@ def test_parse_finite_algebra_unknown_identity():
     assert "not a listed element" in exc_info.value.message
 
 
+@pytest.mark.parametrize("name", ["00", "-0", "2/4"])
+def test_parse_finite_algebra_rejects_non_canonical_element(name):
+    text = BOOL_TEXT.replace("elements: 0,1", f"elements: {name},1")
+    with pytest.raises(ParseError) as exc_info:
+        parse_finite_algebra(text)
+    assert exc_info.value.line_no == 1
+    assert exc_info.value.field == "element 1"
+    assert "not canonical" in exc_info.value.message
+
+
 def test_parse_finite_algebra_missing_section():
     with pytest.raises(ParseError) as exc_info:
         parse_finite_algebra("elements: 0,1\nzero: 0\none: 1\n")
