@@ -412,7 +412,6 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         decode_op=decode_op,
         carrier=carrier,
         sample_op=sample_op,
-        analytically_compliant=carrier is None,
     )
 
 

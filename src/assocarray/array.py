@@ -15,7 +15,7 @@ what lets deliberately lawless algebras behave reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .algebra import Algebra
 from .errors import ValidationError
@@ -30,17 +30,6 @@ def check_key(key: str) -> str:
     if "\t" in key or "\n" in key or "\r" in key:
         raise ValidationError(f"key {key!r} contains a tab or line break")
     return key
-
-
-def _fold(alg: Algebra, terms: Iterable[Value]) -> Value:
-    it = iter(terms)
-    try:
-        acc = next(it)
-    except StopIteration:
-        return alg.zero
-    for term in it:
-        acc = alg.plus_op(acc, term)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -139,10 +128,13 @@ def transpose(arr: AssociativeArray) -> AssociativeArray:
     return AssociativeArray(rows=rows, row_keys=arr.col_keys, col_keys=arr.row_keys)
 
 
-def _union_coords(a: AssociativeArray, b: AssociativeArray) -> set[tuple[str, str]]:
-    coords = {(r, c) for r, c, _ in a}
-    coords.update((r, c) for r, c, _ in b)
-    return coords
+def _ewise(
+    a: AssociativeArray, b: AssociativeArray, alg: Algebra, op: Callable[[Value, Value], Value]
+) -> AssociativeArray:
+    entries = {
+        (r, c): op(get(a, r, c, alg), get(b, r, c, alg)) for r, c in support(a) | support(b)
+    }
+    return _build(entries, alg)
 
 
 def ewise_add(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> AssociativeArray:
@@ -152,11 +144,7 @@ def ewise_add(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> Associa
     implicit zero, so algebras with dishonest identities show their behavior
     here instead of being papered over.
     """
-    entries = {
-        (r, c): alg.plus_op(get(a, r, c, alg), get(b, r, c, alg))
-        for r, c in _union_coords(a, b)
-    }
-    return _build(entries, alg)
+    return _ewise(a, b, alg, alg.plus_op)
 
 
 def ewise_mult(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> AssociativeArray:
@@ -165,11 +153,7 @@ def ewise_mult(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> Associ
     The union (not intersection) matters: multiplying a stored value by an
     implicit zero need not vanish when zero fails to annihilate.
     """
-    entries = {
-        (r, c): alg.times_op(get(a, r, c, alg), get(b, r, c, alg))
-        for r, c in _union_coords(a, b)
-    }
-    return _build(entries, alg)
+    return _ewise(a, b, alg, alg.times_op)
 
 
 def matmul(
@@ -185,10 +169,14 @@ def matmul(
 
     The inner key set is the union of a's columns and b's rows, walked in
     ascending order; every inner key contributes a term, with missing entries
-    read as zero.  ``skip_zeros`` restricts the terms to inner keys stored on
-    both sides, which changes nothing when zero annihilates and products of
-    stored values never reintroduce zero-driven terms; enable it only for an
-    algebra certified to satisfy those laws.
+    read as zero.  One row-wise loop (Gustavson's) computes the product: for
+    each a(i, k) in ascending k, each b(k, j) is scaled and folded into
+    C(i, j).  By default it runs over operands zero-filled on every inner key
+    and output column, so it meets every term.  ``skip_zeros`` runs it over
+    the stored entries alone, which restricts the terms to inner keys stored
+    on both sides.  That changes nothing when zero annihilates and products
+    of stored values never reintroduce zero-driven terms; enable it only for
+    an algebra certified to satisfy those laws.
 
     ``extra_row_keys`` / ``extra_col_keys`` widen the candidate output
     coordinates beyond the stored key sets, so products against rows or
@@ -196,38 +184,28 @@ def matmul(
     """
     out_rows = sorted(set(a.row_keys) | {check_key(k) for k in extra_row_keys})
     out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
+    plus, times, zero = alg.plus_op, alg.times_op, alg.zero
+    b_rows = b.rows
+    if not skip_zeros:
+        # b gets a row per inner key holding every output column; each row of
+        # a is filled with every inner key only as the loop reaches it.
+        inner = sorted(set(a.col_keys) | set(b.row_keys))
+        b_rows = {k: {j: get(b, k, j, alg) for j in out_cols} for k in inner}
     entries: dict[tuple[str, str], Value] = {}
-
-    if skip_zeros:
-        for i in out_rows:
-            a_row = a.rows.get(i)
-            if not a_row:
-                continue
-            acc: dict[str, Value] = {}
-            for k, a_ik in a_row.items():  # ascending: rows store sorted columns
-                b_row = b.rows.get(k)
-                if not b_row:
-                    continue
-                for j, b_kj in b_row.items():
-                    term = alg.times_op(a_ik, b_kj)
-                    if j in acc:
-                        acc[j] = alg.plus_op(acc[j], term)
-                    else:
-                        acc[j] = term
-            for j, v in acc.items():
-                entries[(i, j)] = v
-        # columns outside b's stored columns can't appear on this path
-        return _build(entries, alg)
-
-    inner = sorted(set(a.col_keys) | set(b.row_keys))
     for i in out_rows:
         a_row = a.rows.get(i, {})
-        for j in out_cols:
-            terms = (
-                alg.times_op(a_row.get(k, alg.zero), get(b, k, j, alg))
-                for k in inner
-            )
-            entries[(i, j)] = _fold(alg, terms)
+        if not skip_zeros:
+            a_row = {k: a_row.get(k, zero) for k in inner}
+        acc: dict[str, Value] = {}
+        for k, a_ik in a_row.items():  # ascending: rows store sorted columns
+            b_row = b_rows.get(k)
+            if not b_row:
+                continue
+            for j, b_kj in b_row.items():
+                term = times(a_ik, b_kj)
+                acc[j] = plus(acc[j], term) if j in acc else term
+        for j, v in acc.items():
+            entries[(i, j)] = v
     return _build(entries, alg)
 
 

@@ -19,10 +19,6 @@ import sys
 
 from .algebra import (
     BUILTIN_FAMILY_NAMES,
-    CHECK_CRITERION1,
-    CHECK_CRITERION2,
-    CHECK_CRITERION3,
-    CHECK_IDENTITY,
     Algebra,
     from_finite_spec,
     make_builtin,
@@ -64,14 +60,6 @@ _ALIASES = {
     "boolean": "boolean_or_and",
     "strings": "max_min_strings",
 }
-
-_CHECK_DISPLAY = {
-    CHECK_IDENTITY: "identity",
-    CHECK_CRITERION1: "criterion 1",
-    CHECK_CRITERION2: "criterion 2",
-    CHECK_CRITERION3: "criterion 3",
-}
-
 
 def _read_text(path: str) -> str:
     """Read a UTF-8 file; undecodable bytes are a parse error on their line."""
@@ -129,7 +117,8 @@ def _warn_uncertified(alg: Algebra, report) -> None:
     failed = report.failures()
     if failed:
         parts = ", ".join(
-            f"{_CHECK_DISPLAY[name]} fail ({CHECK_LABELS[name]})" for name in failed
+            f"{name.replace('criterion', 'criterion ')} fail ({CHECK_LABELS[name]})"
+            for name in failed
         )
         print(f"warning: {alg.name} is not certified: {parts}", file=sys.stderr)
     else:

@@ -172,7 +172,8 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
 
     Layout: ``elements: e1,...,en``, then ``zero: ei`` and ``one: ej``, then
     ``plus:`` followed by n rows of n comma-separated element names, then
-    ``times:`` likewise.  Every table cell must name a listed element.
+    ``times:`` likewise.  Every table cell must name a listed element.  These
+    line checks imply every condition of ``FiniteAlgebraSpec.validate``.
     """
     lines = _logical_lines(text)
     pos = 0
@@ -250,15 +251,13 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
         line_no, line = lines[pos]
         raise ParseError(role, line_no, "line", f"unexpected content after tables: {line!r}")
 
-    spec = FiniteAlgebraSpec(
+    return FiniteAlgebraSpec(
         elements=tuple(elements),
         zero_index=identities["zero"],
         one_index=identities["one"],
         plus_table=tables["plus"],
         times_table=tables["times"],
     )
-    spec.validate()
-    return spec
 
 
 def serialize_finite_algebra(spec: FiniteAlgebraSpec) -> str:

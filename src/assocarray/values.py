@@ -85,14 +85,18 @@ def encode_value(v: Value) -> str:
 def parse_number(text: str) -> Value:
     """Decode a decimal integer or reduced ``p/q`` rational.
 
-    Raises ValueError on anything else, including a zero denominator.
+    Raises ValueError on anything else, including a zero denominator and a
+    non-canonical spelling such as ``007``, ``-0``, ``4/2`` or ``2/4``.
     """
     if not _NUMBER_FORM.fullmatch(text):
         raise ValueError(f"not a number literal: {text!r}")
     try:
-        return Value.number(Fraction(text))
+        v = Value.number(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    if encode_value(v) != text:
+        raise ValueError(f"{text!r} is not canonical; write it as {encode_value(v)!r}")
+    return v
 
 
 def parse_token_set(text: str) -> Value:

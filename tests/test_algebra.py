@@ -139,7 +139,7 @@ def test_large_powerset_switches_to_sampling():
     universe = [f"t{i}" for i in range(13)]
     ps = make_builtin("powerset", universe=universe)
     assert ps.carrier is None
-    assert ps.analytically_compliant
+    assert not ps.analytically_compliant  # {t0} and {t1} scale to the empty set
     rng = random.Random(0)
     v = ps.sample(rng)
     assert ps.contains(v)

@@ -1,9 +1,13 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR, load_algebra_file
+
+from assocarray.algebra import make_builtin
 from assocarray.array import (
     AssociativeArray,
     check_invariants,
@@ -23,12 +27,12 @@ from assocarray.errors import ValidationError
 from assocarray.values import Value
 
 
-def dense_matmul(a_entries, b_entries, alg):
+def dense_matmul(a_entries, b_entries, alg, extra_rows=(), extra_cols=()):
     """Reference product over plain dicts, written independently of the
     library: explicit loops, explicit inner-key union, left fold with no
     initial element."""
-    rows = sorted({r for r, _ in a_entries})
-    cols = sorted({c for _, c in b_entries})
+    rows = sorted({r for r, _ in a_entries} | set(extra_rows))
+    cols = sorted({c for _, c in b_entries} | set(extra_cols))
     inner = sorted({c for _, c in a_entries} | {r for r, _ in b_entries})
     out = {}
     for i in rows:
@@ -50,10 +54,35 @@ nat_triples_st = st.lists(
     st.tuples(keys_st, keys_st, st.integers(min_value=0, max_value=9)),
     max_size=12,
 ).map(lambda ts: [(r, c, Value.number(n)) for r, c, n in ts])
-int_triples_st = st.lists(
-    st.tuples(keys_st, keys_st, st.integers(min_value=-5, max_value=5)),
-    max_size=12,
-).map(lambda ts: [(r, c, Value.number(n)) for r, c, n in ts])
+# Extra output keys: some also stored, some only implicit.
+extra_keys_st = st.lists(st.sampled_from(["a", "c", "f", "g"]), max_size=3)
+
+# The full path must match the reference on every lawless fixture; the
+# zero-skipping path must match the full reference on certified algebras.
+LAWLESS = (
+    *sorted(path.name for path in DATA_DIR.glob("*.alg")),
+    "integer_ring",
+    "max_plus_realzero",
+)
+CERTIFIED = (
+    "natural_arithmetic",
+    "nonneg_rational_arithmetic",
+    "boolean_or_and",
+    "max_min_chain",
+    "max_min_strings",
+)
+DIFFERENTIAL_CASES = [(name, False) for name in LAWLESS] + [
+    (name, skip) for name in CERTIFIED for skip in (False, True)
+]
+
+
+@functools.cache
+def differential_algebra(name):
+    if name.endswith(".alg"):
+        return load_algebra_file(name.removesuffix(".alg"))
+    if name == "max_min_chain":
+        return make_builtin(name, levels=3)
+    return make_builtin(name)
 
 
 def entries_of(arr):
@@ -159,26 +188,26 @@ def test_ewise_mult_keeps_entries_when_zero_does_not_annihilate(annihilator_righ
     assert entries_of(out) == {("a", "b"): v}
 
 
-@given(nat_triples_st, nat_triples_st)
-def test_matmul_matches_dense_oracle_naturals(ts_a, ts_b):
-    from assocarray import make_builtin
-
-    nat = make_builtin("natural_arithmetic")
-    a, b = from_triples(ts_a, nat), from_triples(ts_b, nat)
-    got = entries_of(matmul(a, b, nat))
-    want = dense_matmul(entries_of(a), entries_of(b), nat)
-    assert got == want
-
-
-@given(int_triples_st, int_triples_st)
-def test_matmul_matches_dense_oracle_integers(ts_a, ts_b):
-    from assocarray import make_builtin
-
-    ints = make_builtin("integer_ring")
-    a, b = from_triples(ts_a, ints), from_triples(ts_b, ints)
-    got = entries_of(matmul(a, b, ints))
-    want = dense_matmul(entries_of(a), entries_of(b), ints)
-    assert got == want
+@pytest.mark.parametrize(
+    "name, skip_zeros",
+    DIFFERENTIAL_CASES,
+    ids=[f"{name}-{'skip' if skip else 'full'}" for name, skip in DIFFERENTIAL_CASES],
+)
+@given(data=st.data())
+def test_matmul_matches_dense_oracle(name, skip_zeros, data):
+    alg = differential_algebra(name)
+    if alg.is_finite:
+        values_st = st.sampled_from(alg.carrier)
+    else:
+        values_st = st.integers(0, 2**32).map(lambda seed: alg.sample(random.Random(seed)))
+    triples_st = st.lists(st.tuples(keys_st, keys_st, values_st), max_size=12)
+    a = from_triples(data.draw(triples_st), alg)
+    b = from_triples(data.draw(triples_st), alg)
+    rows, cols = data.draw(extra_keys_st), data.draw(extra_keys_st)
+    got = matmul(a, b, alg, skip_zeros=skip_zeros, extra_row_keys=rows, extra_col_keys=cols)
+    want = dense_matmul(entries_of(a), entries_of(b), alg, rows, cols)
+    assert entries_of(got) == want
+    check_invariants(got, alg)
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):

@@ -76,6 +76,16 @@ def test_validate_powerset_fails_criterion_2(capsys, golden_dir):
     assert "zero-product property" in err
 
 
+def test_validate_large_powerset_is_not_certified(capsys):
+    # Enumerated up to 12 tokens, sampled beyond: 1000 draws over 60 tokens
+    # miss every disjoint pair, yet criterion 2 fails and nothing certifies it.
+    universe = ",".join(f"t{i}" for i in range(60))
+    code, out, err = run(capsys, "validate", "--algebra", "powerset", "--universe", universe)
+    assert code == 1
+    assert out.endswith("certified\tfalse\n")
+    assert "certified: no" in err
+
+
 def test_validate_finite_algebra_file(capsys, data_dir):
     code, out, _ = run(capsys, "validate", "--algebra", str(data_dir / "bool_or_and.alg"))
     assert code == 0

@@ -56,6 +56,16 @@ def test_parse_triples_value_diagnostic_line_number(naturals):
     assert exc_info.value.field == "value"
 
 
+@pytest.mark.parametrize("raw", ["007", "-0", "4/2", "1/1", "2/4"])
+def test_parse_triples_rejects_non_canonical_numbers(raw):
+    rationals = make_builtin("nonneg_rational_arithmetic")
+    with pytest.raises(ParseError) as exc_info:
+        parse_triples(f"a\tb\t1\nc\td\t{raw}\n", rationals)
+    assert exc_info.value.line_no == 2
+    assert exc_info.value.field == "value"
+    assert "not canonical" in exc_info.value.message
+
+
 def test_parse_triples_diagnostics_are_deterministic(naturals):
     bad = "a\tb\t1\nbroken line\n"
     messages = set()
@@ -125,6 +135,16 @@ def test_parse_edge_list_rejects_zero_weight(naturals):
     with pytest.raises(ParseError) as exc_info:
         parse_edge_list("k1\ta\tb\t0\n", naturals)
     assert "zero weight" in exc_info.value.message
+
+
+@pytest.mark.parametrize(
+    "weights", ["007", "2\t-0", "4/2"], ids=["out-007", "in--0", "out-4/2"]
+)
+def test_parse_edge_list_rejects_non_canonical_numbers(integers, weights):
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list(f"k1\ta\tb\t2\n# fine\nk2\tb\tc\t{weights}\n", integers)
+    assert exc_info.value.line_no == 3
+    assert "not canonical" in exc_info.value.message
 
 
 def test_parse_edge_list_rejects_short_lines(naturals):
