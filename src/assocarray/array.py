@@ -156,6 +156,38 @@ def ewise_mult(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> Associ
     return _ewise(a, b, alg, alg.times_op)
 
 
+def _runs(plus: Callable[[Value, Value], Value], t00: Value) -> Callable[[Value, int], Value]:
+    """``run(acc, r)`` applies ``acc <- plus(acc, t00)`` r times.
+
+    A pure map on a finite carrier is eventually periodic, so a run remembers
+    the states it has seen and at the first repeat jumps to the state the
+    remaining steps reach: a fixed point costs one plus call.  A carrier that
+    never repeats is stepped r times.  Runs of two or more steps are memoized
+    per (acc, r).
+    """
+    memo: dict[tuple[Value, int], Value] = {}
+
+    def run(acc: Value, r: int) -> Value:
+        if r < 2:
+            return plus(acc, t00) if r else acc
+        key = (acc, r)
+        if key in memo:
+            return memo[key]
+        seen = {acc: 0}
+        history = [acc]
+        for step in range(1, r + 1):
+            acc = plus(acc, t00)
+            first = seen.setdefault(acc, step)
+            if first != step:
+                acc = history[first + (r - step) % (step - first)]
+                break
+            history.append(acc)
+        memo[key] = acc
+        return acc
+
+    return run
+
+
 def matmul(
     a: AssociativeArray,
     b: AssociativeArray,
@@ -169,14 +201,18 @@ def matmul(
 
     The inner key set is the union of a's columns and b's rows, walked in
     ascending order; every inner key contributes a term, with missing entries
-    read as zero.  One row-wise loop (Gustavson's) computes the product: for
-    each a(i, k) in ascending k, each b(k, j) is scaled and folded into
-    C(i, j).  By default it runs over operands zero-filled on every inner key
-    and output column, so it meets every term.  ``skip_zeros`` runs it over
-    the stored entries alone, which restricts the terms to inner keys stored
-    on both sides.  That changes nothing when zero annihilates and products
-    of stored values never reintroduce zero-driven terms; enable it only for
-    an algebra certified to satisfy those laws.
+    read as zero.  By default the result is exactly that fold, but only the
+    terms that differ from ``t00 = times(zero, zero)`` are evaluated: a stored
+    a(i, k) times a stored b(k, j), a(i, k) times zero for the columns b's
+    row k lacks, and zero times b(k, j) for the rows a's column k lacks.  The
+    ``t00`` terms between them are folded as runs of ``plus(acc, t00)``
+    whose cycles are skipped, with the same result as the definition.
+
+    ``skip_zeros`` runs the row-wise loop (Gustavson's) over the stored
+    entries alone, which restricts the terms to inner keys stored on both
+    sides.  That changes nothing when zero annihilates and products of stored
+    values never reintroduce zero-driven terms; enable it only for an
+    algebra certified to satisfy those laws.
 
     ``extra_row_keys`` / ``extra_col_keys`` widen the candidate output
     coordinates beyond the stored key sets, so products against rows or
@@ -185,27 +221,66 @@ def matmul(
     out_rows = sorted(set(a.row_keys) | {check_key(k) for k in extra_row_keys})
     out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
     plus, times, zero = alg.plus_op, alg.times_op, alg.zero
-    b_rows = b.rows
-    if not skip_zeros:
-        # b gets a row per inner key holding every output column; each row of
-        # a is filled with every inner key only as the loop reaches it.
-        inner = sorted(set(a.col_keys) | set(b.row_keys))
-        b_rows = {k: {j: get(b, k, j, alg) for j in out_cols} for k in inner}
+    a_rows, b_rows = a.rows, b.rows
     entries: dict[tuple[str, str], Value] = {}
+    if skip_zeros:
+        for i in out_rows:
+            acc: dict[str, Value] = {}
+            for k, a_ik in a_rows.get(i, {}).items():  # ascending: rows store sorted columns
+                b_row = b_rows.get(k)
+                if not b_row:
+                    continue
+                for j, b_kj in b_row.items():
+                    term = times(a_ik, b_kj)
+                    acc[j] = plus(acc[j], term) if j in acc else term
+            for j, v in acc.items():
+                entries[(i, j)] = v
+        return _build(entries, alg)
+
+    inner = sorted(set(a.col_keys) | set(b.row_keys))
+    if not inner:
+        return empty()  # every fold is over no terms
+    position = {k: p for p, k in enumerate(inner)}
+    t00 = times(zero, zero)
+    # zero times b(k, j), shared by every row that does not store a(i, k).
+    zero_b: dict[str, dict[str, Value]] = {}
+    for k, b_row in b_rows.items():
+        zero_row = {j: t for j, b_kj in b_row.items() if (t := times(zero, b_kj)) != t00}
+        if zero_row:
+            zero_b[k] = zero_row
+    run = _runs(plus, t00)
+    only_t00 = run(t00, len(inner) - 1)
     for i in out_rows:
-        a_row = a.rows.get(i, {})
-        if not skip_zeros:
-            a_row = {k: a_row.get(k, zero) for k in inner}
-        acc: dict[str, Value] = {}
-        for k, a_ik in a_row.items():  # ascending: rows store sorted columns
-            b_row = b_rows.get(k)
-            if not b_row:
-                continue
-            for j, b_kj in b_row.items():
-                term = times(a_ik, b_kj)
-                acc[j] = plus(acc[j], term) if j in acc else term
-        for j, v in acc.items():
-            entries[(i, j)] = v
+        a_row = a_rows.get(i, {})
+        # Per column: [accumulator, position of its last folded term].  A term
+        # at position p first folds the t00 run since that position; with no
+        # accumulator yet, the leading run starts from t00 itself.
+        folds: dict[str, list] = {}
+        for k in sorted(a_row.keys() | zero_b.keys()) if zero_b else a_row:
+            p = position[k]
+            if k not in a_row:
+                terms, scale = zero_b[k].items(), None
+            else:
+                a_ik, b_row = a_row[k], b_rows.get(k, {})
+                u = times(a_ik, zero)
+                if u == t00:  # events only where b(k, j) is stored; scaled below
+                    terms, scale = b_row.items(), a_ik
+                else:
+                    terms = [(j, times(a_ik, b_row[j]) if j in b_row else u) for j in out_cols]
+                    scale = None
+            for j, t in terms:
+                if scale is not None:
+                    t = times(scale, t)
+                s = folds.get(j)
+                if s is None:
+                    folds[j] = [plus(run(t00, p - 1), t) if p else t, p]
+                else:
+                    gap = p - s[1] - 1
+                    s[0] = plus(run(s[0], gap) if gap else s[0], t)
+                    s[1] = p
+        for j in out_cols:
+            s = folds.get(j)
+            entries[(i, j)] = only_t00 if s is None else run(s[0], len(inner) - 1 - s[1])
     return _build(entries, alg)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, load_algebra_file
 
-from assocarray.algebra import make_builtin
+from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import (
     AssociativeArray,
     check_invariants,
@@ -24,6 +26,7 @@ from assocarray.array import (
     transpose,
 )
 from assocarray.errors import ValidationError
+from assocarray.graph import EdgeRecord, incidence_arrays
 from assocarray.values import Value
 
 
@@ -59,10 +62,16 @@ extra_keys_st = st.lists(st.sampled_from(["a", "c", "f", "g"]), max_size=3)
 
 # The full path must match the reference on every lawless fixture; the
 # zero-skipping path must match the full reference on certified algebras.
+# ``random_table`` draws 2-4 element tables with arbitrary cells, so
+# times(0, 0) != 0 and runs of plus(acc, times(0, 0)) with transients and
+# cycles of any period all occur; ``integer_ring_offset`` (times = a*b + 1)
+# has runs that never repeat.
 LAWLESS = (
     *sorted(path.name for path in DATA_DIR.glob("*.alg")),
     "integer_ring",
     "max_plus_realzero",
+    "random_table",
+    "integer_ring_offset",
 )
 CERTIFIED = (
     "natural_arithmetic",
@@ -76,12 +85,33 @@ DIFFERENTIAL_CASES = [(name, False) for name in LAWLESS] + [
 ]
 
 
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(2, 4))
+    row = st.tuples(*[st.integers(0, n - 1)] * n)
+    table = st.tuples(*[row] * n)
+    spec = FiniteAlgebraSpec(
+        elements=tuple(Value.number(i) for i in range(n)),
+        zero_index=0,
+        one_index=draw(st.integers(0, n - 1)),
+        plus_table=draw(table),
+        times_table=draw(table),
+    )
+    return from_finite_spec(spec, name="random_table")
+
+
 @functools.cache
 def differential_algebra(name):
     if name.endswith(".alg"):
         return load_algebra_file(name.removesuffix(".alg"))
     if name == "max_min_chain":
         return make_builtin(name, levels=3)
+    if name == "integer_ring_offset":
+        return dataclasses.replace(
+            make_builtin("integer_ring"),
+            name=name,
+            times_op=lambda x, y: Value.number(x.payload * y.payload + 1),
+        )
     return make_builtin(name)
 
 
@@ -195,7 +225,7 @@ def test_ewise_mult_keeps_entries_when_zero_does_not_annihilate(annihilator_righ
 )
 @given(data=st.data())
 def test_matmul_matches_dense_oracle(name, skip_zeros, data):
-    alg = differential_algebra(name)
+    alg = data.draw(random_tables()) if name == "random_table" else differential_algebra(name)
     if alg.is_finite:
         values_st = st.sampled_from(alg.carrier)
     else:
@@ -208,6 +238,55 @@ def test_matmul_matches_dense_oracle(name, skip_zeros, data):
     want = dense_matmul(entries_of(a), entries_of(b), alg, rows, cols)
     assert entries_of(got) == want
     check_invariants(got, alg)
+
+
+def budgeted(op, budget, label):
+    calls = itertools.count(1)
+
+    def counted(x, y):
+        if next(calls) > budget:
+            raise AssertionError(f"more than {budget} {label} calls")
+        return op(x, y)
+
+    return counted
+
+
+def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integers):
+    # 200 vertices, 1000 edges: 1000 inner keys, so the full definition has
+    # about 40 million terms.  Over integer_ring a*0 = 0*b = 0*0 = 0, so the
+    # only terms to evaluate are those with both entries stored.
+    rng = random.Random(20151018)
+    vertices = [f"v{n:03d}" for n in range(200)]
+    weights = [Value.number(n) for n in range(-5, 6) if n]
+    graph = tuple(
+        EdgeRecord(
+            key=f"e{n:04d}",
+            sources={rng.choice(vertices): rng.choice(weights)},
+            targets={rng.choice(vertices): rng.choice(weights)},
+        )
+        for n in range(1000)
+    )
+    pair = incidence_arrays(graph, integers)
+    a, b = transpose(pair.e_out), pair.e_in
+    both_stored = sum(len(b.rows.get(k, ())) for _, k, _ in a)
+    # times: a(i,k)*0 once per stored a entry, 0*b(k,j) once per stored b
+    # entry, each stored pair, and times(0, 0).  plus: each stored pair costs
+    # at most one call for the run of zeros before it (acc + 0 = acc is a
+    # fixed point) and one to fold it in, and each output entry one call for
+    # its tail run.  The counters raise as soon as a budget is exceeded, so
+    # the cubic fold fails fast instead of running for minutes.
+    counting = dataclasses.replace(
+        integers,
+        times_op=budgeted(integers.times_op, a.nnz + b.nnz + both_stored + 1, "times"),
+        plus_op=budgeted(
+            integers.plus_op, len(a.row_keys) * len(b.col_keys) + 2 * both_stored, "plus"
+        ),
+    )
+    got = matmul(a, b, counting)
+    # zero is an identity and annihilates here, so the zero-skipping product
+    # is the same fold.
+    assert got == matmul(a, b, integers, skip_zeros=True)
+    check_invariants(got, integers)
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):

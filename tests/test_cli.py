@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from assocarray.cli import main
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -238,3 +245,16 @@ def test_output_flag_writes_file(capsys, data_dir, tmp_path, golden_dir):
 def test_seed_flag_accepted(capsys):
     code, _, _ = run(capsys, "validate", "--algebra", "natural", "--seed", "7")
     assert code == 0
+
+
+@pytest.mark.parametrize("module", ["assocarray", "assocarray.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    pythonpath = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "validate", "--algebra", "nosuch"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
