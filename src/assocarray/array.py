@@ -156,36 +156,14 @@ def ewise_mult(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> Associ
     return _ewise(a, b, alg, alg.times_op)
 
 
-def _runs(plus: Callable[[Value, Value], Value], t00: Value) -> Callable[[Value, int], Value]:
-    """``run(acc, r)`` applies ``acc <- plus(acc, t00)`` r times.
-
-    A pure map on a finite carrier is eventually periodic, so a run remembers
-    the states it has seen and at the first repeat jumps to the state the
-    remaining steps reach: a fixed point costs one plus call.  A carrier that
-    never repeats is stepped r times.  Runs of two or more steps are memoized
-    per (acc, r).
-    """
-    memo: dict[tuple[Value, int], Value] = {}
-
-    def run(acc: Value, r: int) -> Value:
-        if r < 2:
-            return plus(acc, t00) if r else acc
-        key = (acc, r)
-        if key in memo:
-            return memo[key]
-        seen = {acc: 0}
-        history = [acc]
-        for step in range(1, r + 1):
-            acc = plus(acc, t00)
-            first = seen.setdefault(acc, step)
-            if first != step:
-                acc = history[first + (r - step) % (step - first)]
-                break
-            history.append(acc)
-        memo[key] = acc
-        return acc
-
-    return run
+def _run(plus: Callable[[Value, Value], Value], acc: Value, t00: Value, r: int) -> Value:
+    """Apply ``acc <- plus(acc, t00)`` r times, stopping early at a fixed point."""
+    for _ in range(r):
+        nxt = plus(acc, t00)
+        if nxt == acc:
+            break
+        acc = nxt
+    return acc
 
 
 def matmul(
@@ -206,7 +184,8 @@ def matmul(
     a(i, k) times a stored b(k, j), a(i, k) times zero for the columns b's
     row k lacks, and zero times b(k, j) for the rows a's column k lacks.  The
     ``t00`` terms between them are folded as runs of ``plus(acc, t00)``
-    whose cycles are skipped, with the same result as the definition.
+    that stop early at a fixed point, with the same result as the
+    definition.
 
     ``skip_zeros`` runs the row-wise loop (Gustavson's) over the stored
     entries alone, which restricts the terms to inner keys stored on both
@@ -248,8 +227,8 @@ def matmul(
         zero_row = {j: t for j, b_kj in b_row.items() if (t := times(zero, b_kj)) != t00}
         if zero_row:
             zero_b[k] = zero_row
-    run = _runs(plus, t00)
-    only_t00 = run(t00, len(inner) - 1)
+    last = len(inner) - 1
+    only_t00 = _run(plus, t00, t00, last)
     for i in out_rows:
         a_row = a_rows.get(i, {})
         # Per column: [accumulator, position of its last folded term].  A term
@@ -259,28 +238,25 @@ def matmul(
         for k in sorted(a_row.keys() | zero_b.keys()) if zero_b else a_row:
             p = position[k]
             if k not in a_row:
-                terms, scale = zero_b[k].items(), None
+                terms = zero_b[k].items()
             else:
                 a_ik, b_row = a_row[k], b_rows.get(k, {})
                 u = times(a_ik, zero)
-                if u == t00:  # events only where b(k, j) is stored; scaled below
-                    terms, scale = b_row.items(), a_ik
+                if u == t00:  # events only where b(k, j) is stored
+                    terms = ((j, times(a_ik, b_kj)) for j, b_kj in b_row.items())
                 else:
                     terms = [(j, times(a_ik, b_row[j]) if j in b_row else u) for j in out_cols]
-                    scale = None
             for j, t in terms:
-                if scale is not None:
-                    t = times(scale, t)
                 s = folds.get(j)
                 if s is None:
-                    folds[j] = [plus(run(t00, p - 1), t) if p else t, p]
+                    folds[j] = [plus(_run(plus, t00, t00, p - 1), t) if p else t, p]
                 else:
                     gap = p - s[1] - 1
-                    s[0] = plus(run(s[0], gap) if gap else s[0], t)
+                    s[0] = plus(_run(plus, s[0], t00, gap) if gap else s[0], t)
                     s[1] = p
         for j in out_cols:
             s = folds.get(j)
-            entries[(i, j)] = only_t00 if s is None else run(s[0], len(inner) - 1 - s[1])
+            entries[(i, j)] = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
     return _build(entries, alg)
 
 
