@@ -44,6 +44,10 @@ CHECK_CRITERION3 = "criterion3"  # zero annihilates
 # behaves like an infinite carrier (membership predicate plus sampler).
 _POWERSET_ENUMERATION_LIMIT = 12
 
+# The largest max_min_chain carrier, the size of the largest enumerated
+# powerset carrier; a longer chain is refused before any level is built.
+_MAX_CHAIN_LEVELS = 2**_POWERSET_ENUMERATION_LIMIT
+
 _ALNUM_RE = re.compile(r"[A-Za-z0-9]*")
 
 
@@ -295,6 +299,10 @@ def _max_plus_realzero() -> Algebra:
 def _max_min_chain(levels: int) -> Algebra:
     if not isinstance(levels, int) or levels < 2:
         raise ConfigurationError("max_min_chain requires an integer level count >= 2")
+    if levels > _MAX_CHAIN_LEVELS:
+        raise ConfigurationError(
+            f"max_min_chain level count {levels} exceeds the limit of {_MAX_CHAIN_LEVELS}"
+        )
     carrier = tuple(Value.number(i) for i in range(levels))
     members = set(carrier)
     name = f"max_min_chain({levels})"
@@ -402,6 +410,12 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         common = set(a.payload) & set(b.payload)
         return Value(TOKENS, tuple(sorted(common)))
 
+    # {t0} and {t1} are disjoint: the pair the exhaustive search finds first,
+    # and one a sampler over a large universe would almost never draw.
+    known_failures = {}
+    if len(toks) >= 2:
+        known_failures[CHECK_CRITERION2] = (Value(TOKENS, (toks[0],)), Value(TOKENS, (toks[1],)))
+
     return Algebra(
         name=name,
         zero=Value(TOKENS, ()),
@@ -412,6 +426,7 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         decode_op=decode_op,
         carrier=carrier,
         sample_op=sample_op,
+        known_failures=known_failures,
     )
 
 
@@ -456,7 +471,7 @@ BUILTIN_FAMILY_NAMES = tuple(sorted(_FAMILIES))
 def make_builtin(name: str, **params) -> Algebra:
     """Construct a builtin algebra family member.
 
-    ``max_min_chain`` takes ``levels`` (int >= 2); ``powerset`` takes
+    ``max_min_chain`` takes ``levels`` (int, 2 to 4096); ``powerset`` takes
     ``universe`` (a sequence of token strings).  The other families take no
     parameters.
     """

@@ -166,12 +166,30 @@ def _run(plus: Callable[[Value, Value], Value], acc: Value, t00: Value, r: int) 
     return acc
 
 
+def _zero_is_inert(alg: Algebra, budget: int) -> bool:
+    """Whether zero is proved a two-sided plus identity and times annihilator.
+
+    An infinite carrier is trusted only on its family's hand-verified
+    compliance flag.  A finite one is scanned, stopping at the first failure,
+    but only when the scan's 4 op calls per element fit in ``budget``;
+    otherwise nothing is proved.
+    """
+    if not alg.is_finite:
+        return alg.analytically_compliant
+    if 4 * len(alg.carrier) > budget:
+        return False
+    plus, times, zero = alg.plus_op, alg.times_op, alg.zero
+    return all(
+        plus(zero, x) == x == plus(x, zero) and times(zero, x) == zero == times(x, zero)
+        for x in alg.carrier
+    )
+
+
 def matmul(
     a: AssociativeArray,
     b: AssociativeArray,
     alg: Algebra,
     *,
-    skip_zeros: bool = False,
     extra_row_keys: Iterable[str] = (),
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
@@ -179,19 +197,22 @@ def matmul(
 
     The inner key set is the union of a's columns and b's rows, walked in
     ascending order; every inner key contributes a term, with missing entries
-    read as zero.  By default the result is exactly that fold, but only the
-    terms that differ from ``t00 = times(zero, zero)`` are evaluated: a stored
-    a(i, k) times a stored b(k, j), a(i, k) times zero for the columns b's
-    row k lacks, and zero times b(k, j) for the rows a's column k lacks.  The
-    ``t00`` terms between them are folded as runs of ``plus(acc, t00)``
-    that stop early at a fixed point, with the same result as the
-    definition.
+    read as zero.  The result is always exactly that fold; the loop that
+    computes it is chosen from the algebra's laws.
 
-    ``skip_zeros`` runs the row-wise loop (Gustavson's) over the stored
-    entries alone, which restricts the terms to inner keys stored on both
-    sides.  That changes nothing when zero annihilates and products of stored
-    values never reintroduce zero-driven terms; enable it only for an
-    algebra certified to satisfy those laws.
+    When zero is proved inert (a two-sided plus identity and a two-sided
+    times annihilator), every term with an unstored factor is zero and folds
+    away, so the row-wise loop (Gustavson's) runs over stored pairs alone.
+    A finite carrier is scanned for that proof only when the scan costs no
+    more than what the loop saves: a call per stored entry of a and of b and
+    an entry per output coordinate.
+
+    Otherwise only the terms that differ from ``t00 = times(zero, zero)``
+    are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
+    zero for the columns b's row k lacks, and zero times b(k, j) for the rows
+    a's column k lacks.  The ``t00`` terms between them are folded as runs
+    of ``plus(acc, t00)`` that stop early at a fixed point, with the same
+    result as the definition.
 
     ``extra_row_keys`` / ``extra_col_keys`` widen the candidate output
     coordinates beyond the stored key sets, so products against rows or
@@ -202,7 +223,7 @@ def matmul(
     plus, times, zero = alg.plus_op, alg.times_op, alg.zero
     a_rows, b_rows = a.rows, b.rows
     entries: dict[tuple[str, str], Value] = {}
-    if skip_zeros:
+    if _zero_is_inert(alg, a.nnz + b.nnz + len(out_rows) * len(out_cols)):
         for i in out_rows:
             acc: dict[str, Value] = {}
             for k, a_ik in a_rows.get(i, {}).items():  # ascending: rows store sorted columns

@@ -134,12 +134,8 @@ def _adjacency_common(args: argparse.Namespace, reverse: bool) -> int:
     report = validate(alg, seed=args.seed)
     if not report.certified:
         _warn_uncertified(alg, report)
-    fast = report.certified and not args.force_full_matmul
     pair = incidence_arrays(graph, alg)
-    if reverse:
-        adj = reverse_adjacency(pair, alg, skip_zeros=fast)
-    else:
-        adj = adjacency(pair, alg, skip_zeros=fast)
+    adj = reverse_adjacency(pair, alg) if reverse else adjacency(pair, alg)
     _write_output(args, serialize_triples(adj))
     vertices = {v for e in graph for v in (*e.sources, *e.targets)}
     print(
@@ -256,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_algebra_flags(sp, required=True)
         _add_io_flags(sp, with_input=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--force-full-matmul", action="store_true",
-                        help="evaluate every inner key even for certified algebras")
 
     sp = sub.add_parser("validate", help="check an algebra against the compliance criteria")
     _add_algebra_flags(sp, required=True)

@@ -106,21 +106,21 @@ def adjacency(
     p: IncidencePair,
     alg: Algebra,
     *,
-    skip_zeros: bool = False,
     extra_sources: Iterable[str] = (),
     extra_targets: Iterable[str] = (),
 ) -> AssociativeArray:
     """Adjacency array: row x, column y holds the fold of out(k,x) times in(k,y).
 
-    The extra key arguments widen the evaluated coordinates to vertices with
-    no stored incidences, which is how spurious adjacency entries against
-    isolated vertices are made observable for non-annihilating algebras.
+    The fold is always the definition's; :func:`~assocarray.array.matmul`
+    picks the loop from the algebra's laws.  The extra key arguments widen the
+    evaluated coordinates to vertices with no stored incidences, which is how
+    spurious adjacency entries against isolated vertices are made observable
+    for non-annihilating algebras.
     """
     return matmul(
         transpose(p.e_out),
         p.e_in,
         alg,
-        skip_zeros=skip_zeros,
         extra_row_keys=extra_sources,
         extra_col_keys=extra_targets,
     )
@@ -133,9 +133,9 @@ def reverse(g: Graph) -> Graph:
     )
 
 
-def reverse_adjacency(p: IncidencePair, alg: Algebra, *, skip_zeros: bool = False) -> AssociativeArray:
+def reverse_adjacency(p: IncidencePair, alg: Algebra) -> AssociativeArray:
     """Adjacency of the reversed graph, from the same incidence pair."""
-    return matmul(transpose(p.e_in), p.e_out, alg, skip_zeros=skip_zeros)
+    return matmul(transpose(p.e_in), p.e_out, alg)
 
 
 def adjacency_oracle(p: IncidencePair) -> frozenset[tuple[str, str]]:

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from pathlib import Path
@@ -32,6 +33,47 @@ CERTIFIED_SPECS = (
 )
 
 CORPUS_GRAPHS_PER_ALGEBRA = 1000
+
+
+def entries_of(arr):
+    return {(r, c): v for r, c, v in arr}
+
+
+def dense_matmul(a_entries, b_entries, alg, extra_rows=(), extra_cols=()):
+    """Reference product over plain dicts, written independently of the
+    library: explicit loops, explicit inner-key union, left fold with no
+    initial element."""
+    rows = sorted({r for r, _ in a_entries} | set(extra_rows))
+    cols = sorted({c for _, c in b_entries} | set(extra_cols))
+    inner = sorted({c for _, c in a_entries} | {r for r, _ in b_entries})
+    out = {}
+    for i in rows:
+        for j in cols:
+            terms = [
+                alg.times_op(
+                    a_entries.get((i, k), alg.zero), b_entries.get((k, j), alg.zero)
+                )
+                for k in inner
+            ]
+            value = functools.reduce(alg.plus_op, terms) if terms else alg.zero
+            if value != alg.zero:
+                out[(i, j)] = value
+    return out
+
+
+def stored_pairs_matmul(a_entries, b_entries, alg):
+    """Fold only the terms whose two factors are both stored, in ascending
+    inner-key order: what the product reduces to when zero is inert, and a
+    different array when it is not."""
+    b_rows = {}
+    for (k, j), b_kj in sorted(b_entries.items()):
+        b_rows.setdefault(k, []).append((j, b_kj))
+    terms = {}
+    for (i, k), a_ik in sorted(a_entries.items()):
+        for j, b_kj in b_rows.get(k, ()):
+            terms.setdefault((i, j), []).append(alg.times_op(a_ik, b_kj))
+    folded = {ij: functools.reduce(alg.plus_op, ts) for ij, ts in terms.items()}
+    return {ij: v for ij, v in folded.items() if v != alg.zero}
 
 
 def load_algebra_file(name):

@@ -125,6 +125,15 @@ def test_chain_ops_are_max_and_min():
     assert len(chain.carrier) == 4
 
 
+def test_chain_level_count_is_bounded(monkeypatch):
+    assert len(make_builtin("max_min_chain", levels=4096).carrier) == 4096
+    built = []
+    monkeypatch.setattr(Value, "number", lambda n: built.append(n))
+    with pytest.raises(ConfigurationError, match="exceeds the limit of 4096"):
+        make_builtin("max_min_chain", levels=4097)
+    assert built == []  # refused before any level is built
+
+
 def test_powerset_carrier_enumeration_and_ops():
     ps = make_builtin("powerset", universe=["y", "x"])
     assert len(ps.carrier) == 4

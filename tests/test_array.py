@@ -1,13 +1,18 @@
 import dataclasses
 import functools
-import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, load_algebra_file
+from conftest import (
+    DATA_DIR,
+    dense_matmul,
+    entries_of,
+    load_algebra_file,
+    stored_pairs_matmul,
+)
 
 from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import (
@@ -30,28 +35,6 @@ from assocarray.graph import EdgeRecord, incidence_arrays
 from assocarray.values import Value
 
 
-def dense_matmul(a_entries, b_entries, alg, extra_rows=(), extra_cols=()):
-    """Reference product over plain dicts, written independently of the
-    library: explicit loops, explicit inner-key union, left fold with no
-    initial element."""
-    rows = sorted({r for r, _ in a_entries} | set(extra_rows))
-    cols = sorted({c for _, c in b_entries} | set(extra_cols))
-    inner = sorted({c for _, c in a_entries} | {r for r, _ in b_entries})
-    out = {}
-    for i in rows:
-        for j in cols:
-            terms = [
-                alg.times_op(
-                    a_entries.get((i, k), alg.zero), b_entries.get((k, j), alg.zero)
-                )
-                for k in inner
-            ]
-            value = functools.reduce(alg.plus_op, terms) if terms else alg.zero
-            if value != alg.zero:
-                out[(i, j)] = value
-    return out
-
-
 keys_st = st.sampled_from(["a", "b", "c", "d", "e"])
 nat_triples_st = st.lists(
     st.tuples(keys_st, keys_st, st.integers(min_value=0, max_value=9)),
@@ -60,8 +43,9 @@ nat_triples_st = st.lists(
 # Extra output keys: some also stored, some only implicit.
 extra_keys_st = st.lists(st.sampled_from(["a", "c", "f", "g"]), max_size=3)
 
-# The full path must match the reference on every lawless fixture; the
-# zero-skipping path must match the full reference on certified algebras.
+# The product must match the dense definition (``-full``) on every lawless
+# fixture and every certified algebra; on the certified ones, where zero is
+# inert, it must also match the stored-pairs fold (``-skip``).
 # ``random_table`` draws 2-4 element tables with arbitrary cells, so
 # times(0, 0) != 0 and runs of plus(acc, times(0, 0)) with transients and
 # cycles of any period all occur; ``integer_ring_offset`` (times = a*b + 1)
@@ -80,8 +64,8 @@ CERTIFIED = (
     "max_min_chain",
     "max_min_strings",
 )
-DIFFERENTIAL_CASES = [(name, False) for name in LAWLESS] + [
-    (name, skip) for name in CERTIFIED for skip in (False, True)
+DIFFERENTIAL_CASES = [(name, "full") for name in LAWLESS] + [
+    (name, reference) for name in CERTIFIED for reference in ("full", "skip")
 ]
 
 
@@ -113,10 +97,6 @@ def differential_algebra(name):
             times_op=lambda x, y: Value.number(x.payload * y.payload + 1),
         )
     return make_builtin(name)
-
-
-def entries_of(arr):
-    return {(r, c): v for r, c, v in arr}
 
 
 def test_check_key_rules():
@@ -219,12 +199,12 @@ def test_ewise_mult_keeps_entries_when_zero_does_not_annihilate(annihilator_righ
 
 
 @pytest.mark.parametrize(
-    "name, skip_zeros",
+    "name, reference",
     DIFFERENTIAL_CASES,
-    ids=[f"{name}-{'skip' if skip else 'full'}" for name, skip in DIFFERENTIAL_CASES],
+    ids=[f"{name}-{reference}" for name, reference in DIFFERENTIAL_CASES],
 )
 @given(data=st.data())
-def test_matmul_matches_dense_oracle(name, skip_zeros, data):
+def test_matmul_matches_dense_oracle(name, reference, data):
     alg = data.draw(random_tables()) if name == "random_table" else differential_algebra(name)
     if alg.is_finite:
         values_st = st.sampled_from(alg.carrier)
@@ -234,41 +214,57 @@ def test_matmul_matches_dense_oracle(name, skip_zeros, data):
     a = from_triples(data.draw(triples_st), alg)
     b = from_triples(data.draw(triples_st), alg)
     rows, cols = data.draw(extra_keys_st), data.draw(extra_keys_st)
-    got = matmul(a, b, alg, skip_zeros=skip_zeros, extra_row_keys=rows, extra_col_keys=cols)
-    want = dense_matmul(entries_of(a), entries_of(b), alg, rows, cols)
+    got = matmul(a, b, alg, extra_row_keys=rows, extra_col_keys=cols)
+    if reference == "full":
+        want = dense_matmul(entries_of(a), entries_of(b), alg, rows, cols)
+    else:
+        want = stored_pairs_matmul(entries_of(a), entries_of(b), alg)
     assert entries_of(got) == want
     check_invariants(got, alg)
 
 
 def budgeted(op, budget, label):
-    calls = itertools.count(1)
+    """``op`` counting its calls in ``.calls`` and raising past ``budget``."""
 
     def counted(x, y):
-        if next(calls) > budget:
+        counted.calls += 1
+        if counted.calls > budget:
             raise AssertionError(f"more than {budget} {label} calls")
         return op(x, y)
 
+    counted.calls = 0
     return counted
 
 
-def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integers):
-    # 200 vertices, 1000 edges: 1000 inner keys, so the full definition has
-    # about 40 million terms.  Over integer_ring a*0 = 0*b = 0*0 = 0, so the
-    # only terms to evaluate are those with both entries stored.
-    rng = random.Random(20151018)
-    vertices = [f"v{n:03d}" for n in range(200)]
-    weights = [Value.number(n) for n in range(-5, 6) if n]
+def adjacency_operands(alg, weights, n_vertices, n_edges, seed):
+    """transpose(E_out) and E_in of a seeded random graph whose edges each
+    have one source and one target."""
+    rng = random.Random(seed)
+    vertices = [f"v{n:03d}" for n in range(n_vertices)]
     graph = tuple(
         EdgeRecord(
             key=f"e{n:04d}",
             sources={rng.choice(vertices): rng.choice(weights)},
             targets={rng.choice(vertices): rng.choice(weights)},
         )
-        for n in range(1000)
+        for n in range(n_edges)
     )
-    pair = incidence_arrays(graph, integers)
-    a, b = transpose(pair.e_out), pair.e_in
-    both_stored = sum(len(b.rows.get(k, ())) for _, k, _ in a)
+    pair = incidence_arrays(graph, alg)
+    return transpose(pair.e_out), pair.e_in
+
+
+def stored_pairs(a, b):
+    """Output coordinate of every pair of stored entries meeting on an inner key."""
+    return [(i, j) for i, k, _ in a for j in b.rows.get(k, ())]
+
+
+def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integers):
+    # 200 vertices, 1000 edges: 1000 inner keys, so the full definition has
+    # about 40 million terms.  Over integer_ring a*0 = 0*b = 0*0 = 0, so the
+    # only terms to evaluate are those with both entries stored.
+    weights = [Value.number(n) for n in range(-5, 6) if n]
+    a, b = adjacency_operands(integers, weights, 200, 1000, seed=20151018)
+    both_stored = len(stored_pairs(a, b))
     # times: a(i,k)*0 once per stored a entry, 0*b(k,j) once per stored b
     # entry, each stored pair, and times(0, 0).  plus: each stored pair costs
     # at most one call for the run of zeros before it (acc + 0 = acc is a
@@ -283,10 +279,49 @@ def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integ
         ),
     )
     got = matmul(a, b, counting)
-    # zero is an identity and annihilates here, so the zero-skipping product
-    # is the same fold.
-    assert got == matmul(a, b, integers, skip_zeros=True)
+    # zero is an identity and annihilates here, so the stored-pairs fold is
+    # the same fold.
+    assert entries_of(got) == stored_pairs_matmul(entries_of(a), entries_of(b), integers)
     check_invariants(got, integers)
+
+
+@pytest.mark.parametrize(
+    "name, scan_calls",
+    [("natural_arithmetic", 0), ("xor_and.alg", 4)],
+    ids=["natural_arithmetic", "xor_and.alg"],
+)
+def test_matmul_folds_stored_pairs_alone_when_zero_is_inert(name, scan_calls):
+    # natural_arithmetic is inert by its family's compliance flag, so no law
+    # is checked at run time; xor_and is not certified (1 + 1 = 0) but its
+    # zero is inert, which a scan of both elements proves with 2 plus and 2
+    # times calls each.  Beyond the scan, one times call per stored pair and
+    # one plus call per stored pair after the first into each output entry.
+    alg = differential_algebra(name)
+    weights = [v for v in alg.carrier or map(Value.number, range(1, 6)) if v != alg.zero]
+    a, b = adjacency_operands(alg, weights, 30, 120, seed=5)
+    pairs = stored_pairs(a, b)
+    n_times, n_plus = scan_calls + len(pairs), scan_calls + len(pairs) - len(set(pairs))
+    counting = dataclasses.replace(
+        alg,
+        times_op=budgeted(alg.times_op, n_times, "times"),
+        plus_op=budgeted(alg.plus_op, n_plus, "plus"),
+    )
+    got = matmul(a, b, counting)
+    assert (counting.times_op.calls, counting.plus_op.calls) == (n_times, n_plus)
+    assert entries_of(got) == dense_matmul(entries_of(a), entries_of(b), alg)
+
+
+def test_matmul_skips_a_law_scan_that_costs_more_than_it_saves():
+    # Scanning the 4096-element carrier would take 8192 plus and 8192 times
+    # calls; the run-compressed fold of a 1x1x1 product takes a few.
+    ps = make_builtin("powerset", universe=[f"t{n}" for n in range(12)])
+    x = Value.tokens(["t0"])
+    a = from_triples([("i", "k", x)], ps)
+    b = from_triples([("k", "j", x)], ps)
+    counting = dataclasses.replace(
+        ps, plus_op=budgeted(ps.plus_op, 10, "plus"), times_op=budgeted(ps.times_op, 10, "times")
+    )
+    assert entries_of(matmul(a, b, counting)) == {("i", "j"): x}
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):
@@ -316,18 +351,6 @@ def test_matmul_empty_fold_gives_zero(naturals):
     assert matmul(a, b, naturals) == empty()
 
 
-def test_matmul_skip_zeros_agrees_when_certified(naturals):
-    a = from_triples(
-        [("r", "k1", Value.number(2)), ("r", "k2", Value.number(3))], naturals
-    )
-    b = from_triples(
-        [("k1", "c", Value.number(4)), ("k3", "c", Value.number(9))], naturals
-    )
-    full = matmul(a, b, naturals)
-    fast = matmul(a, b, naturals, skip_zeros=True)
-    assert full == fast
-
-
 def test_matmul_extra_keys_expose_zero_products(annihilator_right):
     v = annihilator_right.decode("v")
     a = from_triples([("a", "k", v)], annihilator_right)
@@ -336,9 +359,10 @@ def test_matmul_extra_keys_expose_zero_products(annihilator_right):
     assert set(entries_of(plain)) == {("a", "a")}
     widened = matmul(a, b, annihilator_right, extra_col_keys=["b"])
     assert entries_of(widened) == {("a", "a"): v, ("a", "b"): v}
-    # the fast path cannot see the implicit-zero column
-    fast = matmul(a, b, annihilator_right, skip_zeros=True, extra_col_keys=["b"])
-    assert set(entries_of(fast)) == {("a", "a")}
+    # a fold over stored pairs alone cannot see the implicit-zero column
+    assert set(stored_pairs_matmul(entries_of(a), entries_of(b), annihilator_right)) == {
+        ("a", "a")
+    }
 
 
 def test_fold_order_is_ascending_inner_keys(noncommutative):

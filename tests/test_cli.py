@@ -85,12 +85,22 @@ def test_validate_powerset_fails_criterion_2(capsys, golden_dir):
 
 def test_validate_large_powerset_is_not_certified(capsys):
     # Enumerated up to 12 tokens, sampled beyond: 1000 draws over 60 tokens
-    # miss every disjoint pair, yet criterion 2 fails and nothing certifies it.
+    # miss every disjoint pair, so criterion 2 fails on the known pair.
     universe = ",".join(f"t{i}" for i in range(60))
     code, out, err = run(capsys, "validate", "--algebra", "powerset", "--universe", universe)
     assert code == 1
+    assert "criterion2\tfail\t{t0}\t{t1}\n" in out
     assert out.endswith("certified\tfalse\n")
     assert "certified: no" in err
+
+
+def test_witness_criterion_2_large_powerset(capsys):
+    universe = ",".join(f"t{i}" for i in range(60))
+    code, out, err = run(capsys, "witness", "2", "--algebra", "powerset", "--universe", universe)
+    assert code == 0
+    assert "k\ta\ta\t{t0}\t{t1}\n" in out
+    assert out.endswith("# mismatch\nmissing\ta\ta\t{}\n")
+    assert "self-loop" in err
 
 
 def test_validate_finite_algebra_file(capsys, data_dir):
@@ -182,6 +192,13 @@ def test_unknown_algebra_exits_2(capsys, data_dir):
     assert "neither a builtin algebra nor an existing file" in err
 
 
+def test_chain_above_level_limit_exits_2(capsys):
+    code, out, err = run(capsys, "validate", "--algebra", "max_min_chain", "--levels", "4097")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 4096" in err
+
+
 def test_powerset_requires_universe(capsys, data_dir):
     code, _, err = run(
         capsys, "adjacency", "--algebra", "powerset",
@@ -222,13 +239,6 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["adjacency", "--no-such-flag"])
     assert exc_info.value.code == 2
-
-
-def test_force_full_matmul_identical_output(capsys, data_dir):
-    base = ["adjacency", "--algebra", "natural", "--input", str(data_dir / "path.edges")]
-    _, fast, _ = run(capsys, *base)
-    _, full, _ = run(capsys, *base, "--force-full-matmul")
-    assert fast == full
 
 
 def test_output_flag_writes_file(capsys, data_dir, tmp_path, golden_dir):

@@ -308,7 +308,7 @@ def test_checks_use_sampler_not_carrier_for_infinite(naturals):
 
 def _golden_algebras():
     """Every builtin, the 14-token powerset whose carrier is sampled, every
-    table fixture, and two lawless builtins stripped of their known
+    table fixture, and three lawless builtins stripped of their known
     witnesses so that their failures come from the sampler."""
     algs = [
         make_builtin(name)
@@ -322,12 +322,11 @@ def _golden_algebras():
         )
     ]
     algs += [make_builtin("max_min_chain", levels=n) for n in (2, 5)]
-    algs += [make_builtin("powerset", universe=list("abcde"))]
-    algs += [make_builtin("powerset", universe=list("abcdefghijklmn"))]
+    large_powerset = make_builtin("powerset", universe=list("abcdefghijklmn"))
+    algs += [make_builtin("powerset", universe=list("abcde")), large_powerset]
     algs += [load_algebra_file(path.stem) for path in sorted(DATA_DIR.glob("*.alg"))]
-    for name in ("integer_ring", "max_plus_realzero"):
-        alg = make_builtin(name)
-        algs.append(dataclasses.replace(alg, name=f"{name} sampled", known_failures={}))
+    for alg in (make_builtin("integer_ring"), make_builtin("max_plus_realzero"), large_powerset):
+        algs.append(dataclasses.replace(alg, name=f"{alg.name} sampled", known_failures={}))
     return algs
 
 
