@@ -7,9 +7,9 @@ layer stores only values that differ from it.
 
 Carriers come in two shapes.  Finite carriers are enumerated outright and can
 be checked exhaustively; infinite ones carry a membership predicate plus a
-deterministic sampler.  Builtin families additionally carry hand-verified
-classification facts so the compliance checker can report analytically known
-failures with exact witnesses instead of hoping a sampler trips over them.
+deterministic sampler.  Builtin families also state their laws once: the
+checks their operations prove in closed form, and the checks they fail with
+an exact witness, so no reader has to hope a sampler trips over either.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ class Algebra:
     is the finite enumeration or None for infinite families, in which case
     ``sample_op`` must be supplied.  ``decode_op`` turns canonical text into a
     carrier member and raises ValueError on anything else.
+
+    ``proved`` names the checks that hold in closed form.  Like
+    ``known_failures``, which maps each failing check to a witness, it
+    describes ``plus_op`` and ``times_op``: a ``dataclasses.replace`` that
+    changes either operation must restate both.
     """
 
     name: str
@@ -71,7 +76,7 @@ class Algebra:
     carrier: tuple[Value, ...] | None = None
     sample_op: Callable[[random.Random], Value] | None = None
     known_failures: Mapping[str, tuple[Value, ...]] = field(default_factory=dict)
-    analytically_compliant: bool = False
+    proved: frozenset[str] = frozenset()
 
     @property
     def is_finite(self) -> bool:
@@ -224,7 +229,12 @@ def _natural() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(rng.randint(0, 20)),
-        analytically_compliant=True,
+        proved=frozenset({
+            CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
+            CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
+            CHECK_CRITERION2,  # a product of positive integers is positive
+            CHECK_CRITERION3,  # 0 * x = 0
+        }),
     )
 
 
@@ -242,7 +252,12 @@ def _nonneg_rational() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(Fraction(rng.randint(0, 10), rng.randint(1, 10))),
-        analytically_compliant=True,
+        proved=frozenset({
+            CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
+            CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
+            CHECK_CRITERION2,  # a product of positive rationals is positive
+            CHECK_CRITERION3,  # 0 * x = 0
+        }),
     )
 
 
@@ -260,9 +275,12 @@ def _integer_ring() -> Algebra:
         contains_op=member,
         decode_op=_decode_numeric(name, member),
         sample_op=lambda rng: Value.number(rng.randint(-10, 10)),
-        # Additive inverses exist: 1 + (-1) = 0.  Products of nonzero integers
-        # are nonzero and multiplication by 0 yields 0, so the other checks hold.
         known_failures={CHECK_CRITERION1: (Value.number(1), Value.number(-1))},
+        proved=frozenset({
+            CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
+            CHECK_CRITERION2,  # the integers have no zero divisors
+            CHECK_CRITERION3,  # 0 * x = 0
+        }),
     )
 
 
@@ -293,6 +311,7 @@ def _max_plus_realzero() -> Algebra:
             CHECK_CRITERION2: (Value.number(5), Value.number(-5)),
             CHECK_CRITERION3: (Value.number(5),),
         },
+        proved=frozenset({CHECK_CRITERION1}),  # max(a, b) is a or b, so 0 only when a or b is
     )
 
 
@@ -322,6 +341,12 @@ def _max_min_chain(levels: int) -> Algebra:
         contains_op=lambda v: v in members,
         decode_op=decode_op,
         carrier=carrier,
+        proved=frozenset({
+            CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
+            CHECK_CRITERION1,  # max(a, b) is a or b, so it is the bottom only when a or b is
+            CHECK_CRITERION2,  # min(a, b) is a or b, so it is the bottom only when a or b is
+            CHECK_CRITERION3,  # min(bottom, x) = bottom
+        }),
     )
 
 
@@ -365,7 +390,12 @@ def _max_min_strings() -> Algebra:
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
-        analytically_compliant=True,
+        proved=frozenset({
+            CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
+            CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
+            CHECK_CRITERION2,  # min(a, b) is a or b, so it is "" only when a or b is
+            CHECK_CRITERION3,  # min("", x) = ""
+        }),
     )
 
 
@@ -427,6 +457,12 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         carrier=carrier,
         sample_op=sample_op,
         known_failures=known_failures,
+        proved=frozenset({
+            CHECK_IDENTITY,  # {} | x = x and universe & x = x for every subset x
+            CHECK_CRITERION1,  # a | b = {} only when a = b = {}
+            CHECK_CRITERION2,  # over one token or none, a nonempty set meets every other
+            CHECK_CRITERION3,  # {} & x = {}
+        }).difference(known_failures),
     )
 
 
@@ -451,6 +487,12 @@ def _boolean_or_and() -> Algebra:
         contains_op=lambda v: v in (zero, one),
         decode_op=decode_op,
         carrier=carrier,
+        proved=frozenset({
+            CHECK_IDENTITY,  # 0 or x = x and 1 and x = x
+            CHECK_CRITERION1,  # 1 or b = 1
+            CHECK_CRITERION2,  # 1 and 1 = 1
+            CHECK_CRITERION3,  # 0 and x = 0
+        }),
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .algebra import Algebra
+from .algebra import CHECK_CRITERION3, CHECK_IDENTITY, Algebra
 from .errors import ValidationError
 from .values import Value, encode_value
 
@@ -166,17 +166,17 @@ def _run(plus: Callable[[Value, Value], Value], acc: Value, t00: Value, r: int) 
     return acc
 
 
-def _zero_is_inert(alg: Algebra, budget: int) -> bool:
+def _zero_is_inert(alg: Algebra) -> bool:
     """Whether zero is proved a two-sided plus identity and times annihilator.
 
-    An infinite carrier is trusted only on its family's hand-verified
-    compliance flag.  A finite one is scanned, stopping at the first failure,
-    but only when the scan's 4 op calls per element fit in ``budget``;
-    otherwise nothing is proved.
+    The algebra's ``proved`` checks decide it when they include both laws.
+    Otherwise only a finite carrier, which means a parsed table, is scanned,
+    stopping at the first failure; its 4 op calls per element cost less than
+    the table's 2n^2 cells did to parse.
     """
+    if {CHECK_IDENTITY, CHECK_CRITERION3} <= alg.proved:
+        return True
     if not alg.is_finite:
-        return alg.analytically_compliant
-    if 4 * len(alg.carrier) > budget:
         return False
     plus, times, zero = alg.plus_op, alg.times_op, alg.zero
     return all(
@@ -203,9 +203,6 @@ def matmul(
     When zero is proved inert (a two-sided plus identity and a two-sided
     times annihilator), every term with an unstored factor is zero and folds
     away, so the row-wise loop (Gustavson's) runs over stored pairs alone.
-    A finite carrier is scanned for that proof only when the scan costs no
-    more than what the loop saves: a call per stored entry of a and of b and
-    an entry per output coordinate.
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
     are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
@@ -223,7 +220,7 @@ def matmul(
     plus, times, zero = alg.plus_op, alg.times_op, alg.zero
     a_rows, b_rows = a.rows, b.rows
     entries: dict[tuple[str, str], Value] = {}
-    if _zero_is_inert(alg, a.nnz + b.nnz + len(out_rows) * len(out_cols)):
+    if _zero_is_inert(alg):
         for i in out_rows:
             acc: dict[str, Value] = {}
             for k, a_ik in a_rows.get(i, {}).items():  # ascending: rows store sorted columns

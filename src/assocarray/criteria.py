@@ -153,9 +153,9 @@ class CriteriaReport:
     """Aggregate of the four checks for one algebra.
 
     ``certified`` means every check passed with full confidence: exhaustively
-    for finite carriers, or backed by the builtin family's hand-verified
-    compliance flag.  A sampled pass on an arbitrary infinite algebra never
-    certifies, since sampling cannot prove a universal statement.
+    for finite carriers, or as one of the algebra's ``proved`` checks.  A
+    sampled pass alone never certifies, since sampling cannot prove a
+    universal statement.
     """
 
     algebra_name: str
@@ -164,10 +164,6 @@ class CriteriaReport:
     crit2: Verdict
     crit3: Verdict
     certified: bool
-
-    @property
-    def identity_ok(self) -> bool:
-        return self.identity.passed
 
     def checks(self) -> tuple[tuple[str, Verdict], ...]:
         return (
@@ -207,7 +203,7 @@ def validate(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> 
     crit2 = check_zero_product(alg, samples=samples, seed=seed)
     crit3 = check_annihilator(alg, samples=samples, seed=seed)
     all_passed = identity.passed and crit1.passed and crit2.passed and crit3.passed
-    certified = all_passed and (alg.is_finite or alg.analytically_compliant)
+    certified = all_passed and (alg.is_finite or alg.proved.issuperset(CHECK_LABELS))
     return CriteriaReport(
         algebra_name=alg.name,
         identity=identity,

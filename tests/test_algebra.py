@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from assocarray.algebra import (
+    CHECK_CRITERION2,
     Algebra,
     FiniteAlgebraSpec,
     from_finite_spec,
@@ -148,7 +149,8 @@ def test_large_powerset_switches_to_sampling():
     universe = [f"t{i}" for i in range(13)]
     ps = make_builtin("powerset", universe=universe)
     assert ps.carrier is None
-    assert not ps.analytically_compliant  # {t0} and {t1} scale to the empty set
+    # {t0} and {t1} scale to the empty set
+    assert CHECK_CRITERION2 in ps.known_failures and CHECK_CRITERION2 not in ps.proved
     rng = random.Random(0)
     v = ps.sample(rng)
     assert ps.contains(v)

@@ -49,7 +49,7 @@ extra_keys_st = st.lists(st.sampled_from(["a", "c", "f", "g"]), max_size=3)
 # ``random_table`` draws 2-4 element tables with arbitrary cells, so
 # times(0, 0) != 0 and runs of plus(acc, times(0, 0)) with transients and
 # cycles of any period all occur; ``integer_ring_offset`` (times = a*b + 1)
-# has runs that never repeat.
+# has runs that never repeat, and it proves nothing since 0 * x = 1.
 LAWLESS = (
     *sorted(path.name for path in DATA_DIR.glob("*.alg")),
     "integer_ring",
@@ -95,6 +95,7 @@ def differential_algebra(name):
             make_builtin("integer_ring"),
             name=name,
             times_op=lambda x, y: Value.number(x.payload * y.payload + 1),
+            proved=frozenset(),
         )
     return make_builtin(name)
 
@@ -270,9 +271,11 @@ def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integ
     # at most one call for the run of zeros before it (acc + 0 = acc is a
     # fixed point) and one to fold it in, and each output entry one call for
     # its tail run.  The counters raise as soon as a budget is exceeded, so
-    # the cubic fold fails fast instead of running for minutes.
+    # the cubic fold fails fast instead of running for minutes.  Without its
+    # proofs integer_ring takes this fold rather than the stored-pairs loop.
     counting = dataclasses.replace(
         integers,
+        proved=frozenset(),
         times_op=budgeted(integers.times_op, a.nnz + b.nnz + both_stored + 1, "times"),
         plus_op=budgeted(
             integers.plus_op, len(a.row_keys) * len(b.col_keys) + 2 * both_stored, "plus"
@@ -291,8 +294,8 @@ def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integ
     ids=["natural_arithmetic", "xor_and.alg"],
 )
 def test_matmul_folds_stored_pairs_alone_when_zero_is_inert(name, scan_calls):
-    # natural_arithmetic is inert by its family's compliance flag, so no law
-    # is checked at run time; xor_and is not certified (1 + 1 = 0) but its
+    # natural_arithmetic proves identity and criterion 3, so no law is
+    # checked at run time; xor_and is not certified (1 + 1 = 0) but its
     # zero is inert, which a scan of both elements proves with 2 plus and 2
     # times calls each.  Beyond the scan, one times call per stored pair and
     # one plus call per stored pair after the first into each output entry.
@@ -312,8 +315,9 @@ def test_matmul_folds_stored_pairs_alone_when_zero_is_inert(name, scan_calls):
 
 
 def test_matmul_skips_a_law_scan_that_costs_more_than_it_saves():
-    # Scanning the 4096-element carrier would take 8192 plus and 8192 times
-    # calls; the run-compressed fold of a 1x1x1 product takes a few.
+    # A proved family makes no scan: powerset proves identity and criterion 3
+    # at any size, where scanning this 4096-element carrier would take 8192
+    # plus and 8192 times calls.  The 1x1x1 product itself takes one.
     ps = make_builtin("powerset", universe=[f"t{n}" for n in range(12)])
     x = Value.tokens(["t0"])
     a = from_triples([("i", "k", x)], ps)

@@ -37,6 +37,50 @@ def test_adjacency_warns_for_uncertified_algebra(capsys, data_dir):
     assert "nonzeros=0" in err
 
 
+# Every builtin family and every table in tests/data, each with a small edge
+# file of legal weights: the selector flags, then two nonzero weights.
+ADJACENCY_WARNING_CASES = [
+    (["--algebra", "natural"], "2", "3"),
+    (["--algebra", "rational"], "1/2", "3"),
+    (["--algebra", "integer_ring"], "1", "-1"),
+    (["--algebra", "max_plus_realzero"], "5", "-5"),
+    (["--algebra", "strings"], "abc", "<TOP>"),
+    (["--algebra", "boolean"], "1", "1"),
+    (["--algebra", "max_min_chain", "--levels", "2"], "1", "1"),
+    (["--algebra", "max_min_chain", "--levels", "5"], "2", "4"),
+    (["--algebra", "powerset", "--universe", "a"], "{a}", "{a}"),
+    (["--algebra", "powerset", "--universe", "x,y"], "{x}", "{y}"),
+    (["--algebra", "powerset", "--universe", ",".join(f"t{n}" for n in range(13))],
+     "{t0}", "{t1}"),
+    (["--algebra", "annihilator_left.alg"], "v", "1"),
+    (["--algebra", "annihilator_right.alg"], "v", "1"),
+    (["--algebra", "bool_or_and.alg"], "1", "1"),
+    (["--algebra", "identity_violating.alg"], "v", "v"),
+    (["--algebra", "noncommutative.alg"], "p", "q"),
+    (["--algebra", "xor_and.alg"], "1", "1"),
+]
+
+
+def adjacency_warnings(capsys, data_dir, tmp_path):
+    """stderr and exit code of both adjacency subcommands over every case."""
+    chunks = []
+    edges = tmp_path / "weights.edges"
+    for flags, v, w in ADJACENCY_WARNING_CASES:
+        edges.write_text(f"e1\ta\tb\t{v}\t{w}\ne2\ta\tb\t{w}\t{v}\ne3\tb\tc\t{v}\t{v}\n")
+        table = flags[1].endswith(".alg")
+        argv = ["--algebra", str(data_dir / flags[1])] if table else flags
+        for cmd in ("adjacency", "reverse-adjacency"):
+            code, _, err = run(capsys, cmd, *argv, "--input", str(edges))
+            chunks.append(f"$ {cmd} {' '.join(flags)}\nexit {code}\n{err}")
+    return "".join(chunks)
+
+
+def test_adjacency_warnings_match_golden(capsys, data_dir, golden_dir, tmp_path):
+    assert adjacency_warnings(capsys, data_dir, tmp_path) == (
+        golden_dir / "adjacency_warnings.txt"
+    ).read_text()
+
+
 def test_reverse_adjacency_path(capsys, data_dir, golden_dir):
     code, out, _ = run(
         capsys, "reverse-adjacency", "--algebra", "natural",
@@ -250,6 +294,26 @@ def test_output_flag_writes_file(capsys, data_dir, tmp_path, golden_dir):
     assert code == 0
     assert out == ""
     assert out_path.read_text() == (golden_dir / "adjacency_path_natural.tsv").read_text()
+
+
+def test_adjacency_warns_from_a_builtin_familys_laws_alone(capsys, data_dir, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("validate ran for a builtin family")
+
+    monkeypatch.setattr("assocarray.cli.validate", no_scan)
+    code, _, err = run(
+        capsys, "adjacency", "--algebra", "integer-ring",
+        "--input", str(data_dir / "cancelling.edges"),
+    )
+    assert code == 0
+    assert "criterion 1 fail" in err
+
+
+@pytest.mark.parametrize("cmd", ["adjacency", "reverse-adjacency"])
+def test_adjacency_rejects_seed(capsys, data_dir, cmd):
+    with pytest.raises(SystemExit) as exc_info:
+        main([cmd, "--algebra", "natural", "--input", str(data_dir / "path.edges"), "--seed", "1"])
+    assert exc_info.value.code == 2
 
 
 def test_seed_flag_accepted(capsys):

@@ -5,7 +5,9 @@ import pytest
 
 from assocarray.algebra import (
     CHECK_CRITERION1,
+    CHECK_CRITERION2,
     CHECK_CRITERION3,
+    CHECK_IDENTITY,
     Algebra,
     make_builtin,
 )
@@ -41,7 +43,7 @@ def test_infinite_verdicts_are_sampled(naturals):
     for _, verdict in report.checks():
         assert verdict.passed
         assert verdict.mode == "sampled 1000"
-    assert report.certified  # backed by the family's compliance flag
+    assert report.certified  # backed by the family's proofs
 
 
 def test_sample_count_is_configurable(naturals):
@@ -106,6 +108,61 @@ def test_finite_all_pass_certifies():
     report = validate(bool_alg)
     assert report.certified
     assert report.failures() == ()
+
+
+# Every builtin family; the powersets over 13 and 40 tokens are sampled like
+# the infinite families, every other finite carrier is scanned whole.
+FACT_FAMILIES = [
+    ("natural_arithmetic", {}),
+    ("nonneg_rational_arithmetic", {}),
+    ("integer_ring", {}),
+    ("max_plus_realzero", {}),
+    ("max_min_strings", {}),
+    ("boolean_or_and", {}),
+    *(("max_min_chain", {"levels": n}) for n in (2, 5, 64)),
+    *(("powerset", {"universe": [f"t{i}" for i in range(n)]}) for n in (0, 1, 2, 5, 13, 40)),
+]
+CHECKERS = {
+    CHECK_IDENTITY: check_identity_laws,
+    CHECK_CRITERION1: check_no_additive_inverses,
+    CHECK_CRITERION2: check_zero_product,
+    CHECK_CRITERION3: check_annihilator,
+}
+
+
+def assert_facts_partition_the_checks(alg):
+    assert not alg.proved & alg.known_failures.keys()
+    assert alg.proved | alg.known_failures.keys() == CHECKERS.keys()
+
+
+def family_id(family, params):
+    if family == "powerset":
+        return f"powerset-{len(params['universe'])}"
+    return f"{family}-{params['levels']}" if params else family
+
+
+@pytest.mark.parametrize(
+    "family, params", FACT_FAMILIES, ids=[family_id(*case) for case in FACT_FAMILIES]
+)
+def test_builtin_facts_replay_against_the_checker(family, params):
+    alg = make_builtin(family, **params)
+    assert_facts_partition_the_checks(alg)
+    for check, checker in CHECKERS.items():
+        verdict = checker(alg, samples=10_000)
+        if check in alg.proved:
+            assert verdict.passed, f"{check} is proved but fails at {verdict.witness}"
+            assert verdict.mode == ("exhaustive" if alg.is_finite else "sampled 10000")
+        else:
+            # The checker replays the known witness and raises unless it
+            # violates the law.
+            assert verdict.witness == alg.known_failures[check]
+
+
+def test_facts_of_the_largest_chain_partition_the_checks():
+    # The sets alone: scanning 4096 levels pairwise is what the proofs spare.
+    chain = make_builtin("max_min_chain", levels=4096)
+    assert_facts_partition_the_checks(chain)
+    assert chain.proved == CHECKERS.keys()
 
 
 def test_sampled_pass_without_flag_never_certifies(naturals):
