@@ -109,13 +109,13 @@ class Algebra:
             raise ConfigurationError(f"algebra {self.name} has no sampler")
         return self.sample_op(rng)
 
-    def sample_nonzero(self, rng: random.Random, max_tries: int = 1000) -> Value:
+    def sample_nonzero(self, rng: random.Random) -> Value:
         if self.carrier is not None:
             nonzero = [v for v in self.carrier if v != self.zero]
             if not nonzero:
                 raise ConfigurationError(f"algebra {self.name} has no nonzero elements")
             return rng.choice(nonzero)
-        for _ in range(max_tries):
+        for _ in range(1000):
             v = self.sample(rng)
             if v != self.zero:
                 return v

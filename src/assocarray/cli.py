@@ -28,9 +28,7 @@ from .criteria import (
     CHECK_LABELS,
     MismatchReport,
     WitnessCase,
-    check_annihilator,
-    check_no_additive_inverses,
-    check_zero_product,
+    check,
     demonstrate,
     validate,
     witness_additive_inverse,
@@ -150,23 +148,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.certified else 1
 
 
-# Per criterion: the check that finds witness values, and the graph built from them.
+# Per criterion: the graph built from the values its failing check reports.
 _WITNESSES = {
-    1: (check_no_additive_inverses, witness_additive_inverse),
-    2: (check_zero_product, witness_zero_product),
-    3: (check_annihilator, witness_annihilator),
+    1: witness_additive_inverse,
+    2: witness_zero_product,
+    3: witness_annihilator,
 }
 
 
 def _build_witness(args: argparse.Namespace, alg: Algebra) -> WitnessCase:
-    check, build = _WITNESSES[args.criterion]
-    verdict = check(alg, seed=args.seed)
+    verdict = check(alg, f"criterion{args.criterion}", seed=args.seed)
     if verdict.passed:
         raise PreconditionError(
             f"no witness exists from checker output: "
             f"{alg.name} passes criterion {args.criterion} ({verdict.mode})"
         )
-    return build(*verdict.witness, alg)
+    return _WITNESSES[args.criterion](*verdict.witness, alg)
 
 
 def _format_witness(rep: MismatchReport, wc: WitnessCase) -> str:
@@ -201,7 +198,7 @@ def cmd_doc_adjacency(args: argparse.Namespace) -> int:
     alg = make_builtin("powerset", universe=tokens)
     shared = from_triples(triples, alg)
     try:
-        adj = document_adjacency(shared)
+        adj = document_adjacency(shared, alg)
     except PreconditionError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return 1

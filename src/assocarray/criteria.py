@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .algebra import (
     CHECK_CRITERION1,
@@ -28,11 +28,10 @@ from .algebra import (
     Algebra,
 )
 from .array import AssociativeArray, get, support
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
 from .graph import (
     EdgeRecord,
     Graph,
-    IncidencePair,
     adjacency,
     adjacency_oracle,
     incidence_arrays,
@@ -64,8 +63,8 @@ class Verdict:
         return f"FAIL, witness {shown}"
 
 
-def _violates(alg: Algebra, check: str, witness: tuple[Value, ...]) -> bool:
-    if check == CHECK_IDENTITY:
+def _violates(alg: Algebra, name: str, witness: tuple[Value, ...]) -> bool:
+    if name == CHECK_IDENTITY:
         (v,) = witness
         return (
             alg.plus_op(alg.zero, v) != v
@@ -73,48 +72,51 @@ def _violates(alg: Algebra, check: str, witness: tuple[Value, ...]) -> bool:
             or alg.times_op(alg.one, v) != v
             or alg.times_op(v, alg.one) != v
         )
-    if check == CHECK_CRITERION1:
+    if name == CHECK_CRITERION1:
         v, w = witness
         return v != alg.zero and w != alg.zero and alg.plus_op(v, w) == alg.zero
-    if check == CHECK_CRITERION2:
+    if name == CHECK_CRITERION2:
         v, w = witness
         return v != alg.zero and w != alg.zero and alg.times_op(v, w) == alg.zero
-    if check == CHECK_CRITERION3:
+    if name == CHECK_CRITERION3:
         (v,) = witness
         return alg.times_op(v, alg.zero) != alg.zero or alg.times_op(alg.zero, v) != alg.zero
-    raise InternalConsistencyError(f"unknown check {check!r}")
+    raise InternalConsistencyError(f"unknown check {name!r}")
 
 
-def _fail(alg: Algebra, check: str, witness: tuple[Value, ...]) -> Verdict:
+def _fail(alg: Algebra, name: str, witness: tuple[Value, ...]) -> Verdict:
     # Every fail verdict must replay: a witness that does not reproduce its
     # violation means the checker itself is broken.
-    if not _violates(alg, check, witness):
+    if not _violates(alg, name, witness):
         shown = ", ".join(encode_value(v) for v in witness)
         raise InternalConsistencyError(
-            f"claimed {check} witness ({shown}) does not violate the law in {alg.name}"
+            f"claimed {name} witness ({shown}) does not violate the law in {alg.name}"
         )
     return Verdict(passed=False, witness=witness)
 
 
-def _check(alg: Algebra, check: str, samples: int, seed: int) -> Verdict:
-    """Decide one check: a known failure wins, else every candidate is tried.
+def check(alg: Algebra, name: str, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
+    """Decide the check ``name``, one of ``CHECK_LABELS``.
 
-    Candidates are the carrier (or every pair of nonzero members) when it is
-    finite, else ``samples`` seeded draws; the first violation is replayed.
+    A known failure wins; else every candidate is tried: the carrier (or
+    every pair of nonzero members) when it is finite, else ``samples``
+    seeded draws.  The first violation is replayed.
     """
-    known = alg.known_failures.get(check)
+    if name not in CHECK_LABELS:
+        raise ConfigurationError(f"unknown check {name!r}; known: {', '.join(CHECK_LABELS)}")
+    known = alg.known_failures.get(name)
     if known is not None:
-        return _fail(alg, check, tuple(known))
+        return _fail(alg, name, tuple(known))
     rng = random.Random(seed)
-    if check in (CHECK_IDENTITY, CHECK_CRITERION3):
+    if name in (CHECK_IDENTITY, CHECK_CRITERION3):
         candidates = alg.carrier if alg.is_finite else (alg.sample(rng) for _ in range(samples))
         for v in candidates:
-            if _violates(alg, check, (v,)):
-                return _fail(alg, check, (v,))
+            if _violates(alg, name, (v,)):
+                return _fail(alg, name, (v,))
     else:
         # Pairs are O(n^2), so the operation is bound once and tested inline;
         # _violates only replays the witness found.
-        op = alg.plus_op if check == CHECK_CRITERION1 else alg.times_op
+        op = alg.plus_op if name == CHECK_CRITERION1 else alg.times_op
         zero = alg.zero
         if alg.is_finite:
             nonzero = [v for v in alg.carrier if v != zero]
@@ -123,62 +125,32 @@ def _check(alg: Algebra, check: str, samples: int, seed: int) -> Verdict:
             pairs = ((alg.sample_nonzero(rng), alg.sample_nonzero(rng)) for _ in range(samples))
         for v, w in pairs:
             if op(v, w) == zero:
-                return _fail(alg, check, (v, w))
+                return _fail(alg, name, (v, w))
     mode = "exhaustive" if alg.is_finite else f"sampled {samples}"
     return Verdict(passed=True, mode=mode)
-
-
-def check_identity_laws(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
-    """Verify zero is a two-sided plus identity and one a two-sided times identity."""
-    return _check(alg, CHECK_IDENTITY, samples, seed)
-
-
-def check_no_additive_inverses(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
-    """Verify no two nonzero values sum to zero."""
-    return _check(alg, CHECK_CRITERION1, samples, seed)
-
-
-def check_zero_product(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
-    """Verify no two nonzero values multiply to zero."""
-    return _check(alg, CHECK_CRITERION2, samples, seed)
-
-
-def check_annihilator(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Verdict:
-    """Verify multiplying by zero yields zero, on both sides."""
-    return _check(alg, CHECK_CRITERION3, samples, seed)
 
 
 @dataclass(frozen=True)
 class CriteriaReport:
     """Aggregate of the four checks for one algebra.
 
-    ``certified`` means every check passed with full confidence: exhaustively
-    for finite carriers, or as one of the algebra's ``proved`` checks.  A
-    sampled pass alone never certifies, since sampling cannot prove a
-    universal statement.
+    ``verdicts`` maps each check name to its verdict, in ``CHECK_LABELS``
+    order.  ``certified`` means every check passed with full confidence:
+    exhaustively for finite carriers, or as one of the algebra's ``proved``
+    checks.  A sampled pass alone never certifies, since sampling cannot
+    prove a universal statement.
     """
 
     algebra_name: str
-    identity: Verdict
-    crit1: Verdict
-    crit2: Verdict
-    crit3: Verdict
+    verdicts: Mapping[str, Verdict]
     certified: bool
 
-    def checks(self) -> tuple[tuple[str, Verdict], ...]:
-        return (
-            (CHECK_IDENTITY, self.identity),
-            (CHECK_CRITERION1, self.crit1),
-            (CHECK_CRITERION2, self.crit2),
-            (CHECK_CRITERION3, self.crit3),
-        )
-
     def failures(self) -> tuple[str, ...]:
-        return tuple(name for name, verdict in self.checks() if not verdict.passed)
+        return tuple(name for name, verdict in self.verdicts.items() if not verdict.passed)
 
     def to_machine_lines(self) -> list[str]:
         lines = []
-        for name, verdict in self.checks():
+        for name, verdict in self.verdicts.items():
             if verdict.passed:
                 lines.append(f"{name}\tpass\t{verdict.mode}")
             else:
@@ -189,29 +161,18 @@ class CriteriaReport:
 
     def to_text(self) -> str:
         lines = [f"algebra: {self.algebra_name}"]
-        for name, verdict in self.checks():
-            label = CHECK_LABELS[name]
-            lines.append(f"{name} ({label}): {verdict.describe()}")
+        for name, verdict in self.verdicts.items():
+            lines.append(f"{name} ({CHECK_LABELS[name]}): {verdict.describe()}")
         lines.append(f"certified: {'yes' if self.certified else 'no'}")
         return "\n".join(lines)
 
 
 def validate(alg: Algebra, *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CriteriaReport:
     """Run all four checks and decide certification."""
-    identity = check_identity_laws(alg, samples=samples, seed=seed)
-    crit1 = check_no_additive_inverses(alg, samples=samples, seed=seed)
-    crit2 = check_zero_product(alg, samples=samples, seed=seed)
-    crit3 = check_annihilator(alg, samples=samples, seed=seed)
-    all_passed = identity.passed and crit1.passed and crit2.passed and crit3.passed
+    verdicts = {name: check(alg, name, samples=samples, seed=seed) for name in CHECK_LABELS}
+    all_passed = all(verdict.passed for verdict in verdicts.values())
     certified = all_passed and (alg.is_finite or alg.proved.issuperset(CHECK_LABELS))
-    return CriteriaReport(
-        algebra_name=alg.name,
-        identity=identity,
-        crit1=crit1,
-        crit2=crit2,
-        crit3=crit3,
-        certified=certified,
-    )
+    return CriteriaReport(alg.name, verdicts, certified)
 
 
 # --- witness constructions ---------------------------------------------------
@@ -236,18 +197,24 @@ class WitnessCase:
     extra_target_vertices: tuple[str, ...] = ()
 
 
+def _require_violation(alg: Algebra, name: str, witness: tuple[Value, ...]) -> None:
+    """A witness builder's precondition: carrier members that violate ``name``."""
+    for v in witness:
+        alg._require_member(v)
+    if not _violates(alg, name, witness):
+        shown = ", ".join(encode_value(v) for v in witness)
+        raise PreconditionError(
+            f"({shown}) does not violate {name} ({CHECK_LABELS[name]}) in {alg.name}"
+        )
+
+
 def witness_additive_inverse(v: Value, w: Value, alg: Algebra) -> WitnessCase:
     """Parallel edges a->b with out-weights v and w, where v plus w is zero.
 
     Both edges really connect a to b, but their contributions cancel and the
     computed adjacency loses the pair.
     """
-    if v == alg.zero or w == alg.zero:
-        raise PreconditionError("witness values must be nonzero")
-    if alg.plus(v, w) != alg.zero:
-        raise PreconditionError(
-            f"{encode_value(v)} plus {encode_value(w)} is not zero in {alg.name}"
-        )
+    _require_violation(alg, CHECK_CRITERION1, (v, w))
     if alg.one == alg.zero:
         raise PreconditionError(
             "construction needs a nonzero one for the in-weights"
@@ -269,12 +236,7 @@ def witness_additive_inverse(v: Value, w: Value, alg: Algebra) -> WitnessCase:
 
 def witness_zero_product(v: Value, w: Value, alg: Algebra) -> WitnessCase:
     """Self-loop at a with out-weight v and in-weight w, where v times w is zero."""
-    if v == alg.zero or w == alg.zero:
-        raise PreconditionError("witness values must be nonzero")
-    if alg.times(v, w) != alg.zero:
-        raise PreconditionError(
-            f"{encode_value(v)} times {encode_value(w)} is not zero in {alg.name}"
-        )
+    _require_violation(alg, CHECK_CRITERION2, (v, w))
     graph = (EdgeRecord("k", sources={"a": v}, targets={"a": w}),)
     return WitnessCase(
         criterion=2,
@@ -297,12 +259,9 @@ def witness_annihilator(v: Value, alg: Algebra) -> WitnessCase:
     """
     if v == alg.zero:
         raise PreconditionError("witness value must be nonzero")
-    right_fail = alg.times(v, alg.zero) != alg.zero
-    left_fail = alg.times(alg.zero, v) != alg.zero
-    if not (right_fail or left_fail):
-        raise PreconditionError(
-            f"zero annihilates {encode_value(v)} on both sides in {alg.name}"
-        )
+    _require_violation(alg, CHECK_CRITERION3, (v,))
+    right_fail = alg.times_op(v, alg.zero) != alg.zero
+    left_fail = alg.times_op(alg.zero, v) != alg.zero
     sides = []
     if right_fail:
         sides.append(f"{encode_value(v)} times 0 is nonzero, inventing (a, b)")
@@ -328,7 +287,6 @@ class MismatchReport:
     oracle rejects, with the nonzero value that appeared.
     """
 
-    incidence: IncidencePair
     adjacency: AssociativeArray
     oracle: frozenset[tuple[str, str]]
     missing: tuple[tuple[str, str, Value], ...] = field(default_factory=tuple)
@@ -363,7 +321,6 @@ def demonstrate(wc: WitnessCase, alg: Algebra) -> MismatchReport:
             f"witness for criterion {wc.criterion} produced no mismatch over {alg.name}"
         )
     return MismatchReport(
-        incidence=pair,
         adjacency=adj,
         oracle=oracle,
         missing=missing,

@@ -194,16 +194,6 @@ class WordOverlapViolation:
     word: str
 
 
-def token_universe(arr: AssociativeArray) -> tuple[str, ...]:
-    """Sorted union of all tokens stored anywhere in a set-valued array."""
-    tokens: set[str] = set()
-    for _, _, v in arr:
-        if v.kind != TOKENS:
-            raise DomainError(f"value {encode_value(v)} is not a token set")
-        tokens.update(v.payload)
-    return tuple(sorted(tokens))
-
-
 def shared_words_array(documents: Mapping[str, Iterable[str]]) -> AssociativeArray:
     """Array of pairwise shared word sets: entry (i, j) holds words(i) & words(j).
 
@@ -249,7 +239,7 @@ def check_word_consistency(E: AssociativeArray) -> WordOverlapViolation | None:
     return None if earliest is None else WordOverlapViolation(*earliest)
 
 
-def document_adjacency(E: AssociativeArray) -> AssociativeArray:
+def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
     """Product of the transposed shared-words array with itself.
 
     Entry (i, j) is the union over documents k of E(k, i) & E(k, j): the words
@@ -257,6 +247,7 @@ def document_adjacency(E: AssociativeArray) -> AssociativeArray:
     an inconsistent array raises a precondition error carrying the violation.
     Works although intersection can turn two nonempty sets into the empty set,
     which is exactly the structural loophole the consistency check closes.
+    ``alg`` is the powerset algebra E was built over.
     """
     violation = check_word_consistency(E)
     if violation is not None:
@@ -266,7 +257,6 @@ def document_adjacency(E: AssociativeArray) -> AssociativeArray:
             f"({violation.row_a}, {violation.col_b})",
             violation=violation,
         )
-    alg = make_builtin("powerset", universe=token_universe(E))
     return matmul(transpose(E), E, alg)
 
 

@@ -38,6 +38,12 @@ from assocarray import (
     witness_annihilator,
     witness_zero_product,
 )
+from assocarray.algebra import (
+    CHECK_CRITERION1,
+    CHECK_CRITERION2,
+    CHECK_CRITERION3,
+    CHECK_IDENTITY,
+)
 from assocarray.cli import main
 from assocarray.values import TEXT, TOP_PAYLOAD
 from conftest import (
@@ -206,26 +212,29 @@ def test_classification_matrix(announce):
             probes = list(alg.carrier) if alg.is_finite else probe_ranges[alg.name]
             brute = _brute_force_laws(alg, probes)
             report = validate(alg)
-            checked = tuple(verdict.passed for _, verdict in report.checks())
+            checked = tuple(verdict.passed for verdict in report.verdicts.values())
             assert brute == checked == expected[alg.name][:4], alg.name
             assert report.certified == expected[alg.name][4], alg.name
         # the failing checks carry the documented witnesses
-        assert validate(make_builtin("integer_ring")).crit1.witness == (
+        assert validate(make_builtin("integer_ring")).verdicts[CHECK_CRITERION1].witness == (
             Value.number(1),
             Value.number(-1),
         )
         mp = validate(make_builtin("max_plus_realzero"))
-        assert mp.identity.witness == (Value.number(-1),)
-        assert mp.crit2.witness == (Value.number(5), Value.number(-5))
-        assert mp.crit3.witness == (Value.number(5),)
+        assert mp.verdicts[CHECK_IDENTITY].witness == (Value.number(-1),)
+        assert mp.verdicts[CHECK_CRITERION2].witness == (Value.number(5), Value.number(-5))
+        assert mp.verdicts[CHECK_CRITERION3].witness == (Value.number(5),)
         ps = validate(make_builtin("powerset", universe=["x", "y"]))
-        assert ps.crit2.witness == (Value.tokens(["x"]), Value.tokens(["y"]))
+        assert ps.verdicts[CHECK_CRITERION2].witness == (Value.tokens(["x"]), Value.tokens(["y"]))
 
 
 def test_document_adjacency_over_random_corpora(announce):
     with announce("document adjacency reproduces pairwise shared-word sets on 200 corpora"):
         rng = random.Random(5)
         vocab = [f"w{i:02d}" for i in range(12)]
+        # One powerset over the whole vocabulary serves every corpus: the
+        # operations on a corpus's token sets do not depend on the universe.
+        vocab_alg = make_builtin("powerset", universe=vocab)
         for _ in range(200):
             docs = {
                 f"d{i}": frozenset(rng.sample(vocab, rng.randint(0, 6)))
@@ -233,7 +242,7 @@ def test_document_adjacency_over_random_corpora(announce):
             }
             shared = shared_words_array(docs)
             assert check_word_consistency(shared) is None
-            adj = document_adjacency(shared)
+            adj = document_adjacency(shared, vocab_alg)
             expected_support = {
                 (i, j) for i in docs for j in docs if docs[i] & docs[j]
             }
@@ -244,7 +253,8 @@ def test_document_adjacency_over_random_corpora(announce):
 
         # worked example: two documents sharing one word
         docs = {"d1": {"apple", "pear"}, "d2": {"pear", "plum"}}
-        adj = document_adjacency(shared_words_array(docs))
+        alg = make_builtin("powerset", universe=["apple", "pear", "plum"])
+        adj = document_adjacency(shared_words_array(docs), alg)
         assert list(adj) == [
             ("d1", "d1", Value.tokens(["apple", "pear"])),
             ("d1", "d2", Value.tokens(["pear"])),
@@ -255,7 +265,8 @@ def test_document_adjacency_over_random_corpora(announce):
         # overlap is not transitive: the d1/d3 fold hits an empty
         # intersection mid-product and correctly stores nothing
         docs = {"d1": {"a"}, "d2": {"a", "b"}, "d3": {"b"}}
-        adj = document_adjacency(shared_words_array(docs))
+        alg = make_builtin("powerset", universe=["a", "b"])
+        adj = document_adjacency(shared_words_array(docs), alg)
         sup = support(adj)
         assert ("d1", "d2") in sup and ("d2", "d3") in sup
         assert ("d1", "d3") not in sup and ("d3", "d1") not in sup

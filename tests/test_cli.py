@@ -1,13 +1,17 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from assocarray.algebra import make_builtin
 from assocarray.cli import main
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+REPO_DIR = Path(__file__).resolve().parent.parent
+SRC_DIR = REPO_DIR / "src"
 
 
 def run(capsys, *argv):
@@ -202,6 +206,20 @@ def test_doc_adjacency_worked_example(capsys, data_dir, golden_dir):
     assert out == (golden_dir / "doc_adjacency.tsv").read_text()
 
 
+def test_doc_adjacency_builds_one_powerset(capsys, data_dir, monkeypatch):
+    built = []
+
+    def counting_make_builtin(name, **params):
+        built.append(name)
+        return make_builtin(name, **params)
+
+    monkeypatch.setattr("assocarray.cli.make_builtin", counting_make_builtin)
+    monkeypatch.setattr("assocarray.graph.make_builtin", counting_make_builtin)
+    code, _, _ = run(capsys, "doc-adjacency", "--input", str(data_dir / "docs.triples"))
+    assert code == 0
+    assert built == ["powerset"]
+
+
 def test_doc_adjacency_inconsistent_input(capsys, data_dir):
     code, out, err = run(
         capsys, "doc-adjacency", "--input", str(data_dir / "docs_inconsistent.triples")
@@ -332,3 +350,26 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+
+
+# --- README examples ----------------------------------------------------------
+
+README = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+README_COMMANDS = re.findall(r"```sh\n\$ assocarray ([^\n]*)\n(.*?)```", README, re.DOTALL)
+
+
+def test_readme_quick_start_runs():
+    quick_start = README.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_lists_four_commands():
+    assert len(README_COMMANDS) == 4
+
+
+@pytest.mark.parametrize("command, stdout", README_COMMANDS, ids=[c for c, _ in README_COMMANDS])
+def test_readme_command_prints_what_readme_shows(capsys, monkeypatch, command, stdout):
+    monkeypatch.chdir(REPO_DIR)
+    main(shlex.split(command))
+    assert capsys.readouterr().out == stdout

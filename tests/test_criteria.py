@@ -14,17 +14,19 @@ from assocarray.algebra import (
 from assocarray.array import support
 from assocarray.criteria import (
     WitnessCase,
-    check_annihilator,
-    check_identity_laws,
-    check_no_additive_inverses,
-    check_zero_product,
+    check,
     demonstrate,
     validate,
     witness_additive_inverse,
     witness_annihilator,
     witness_zero_product,
 )
-from assocarray.errors import InternalConsistencyError, PreconditionError
+from assocarray.errors import (
+    ConfigurationError,
+    DomainError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from assocarray.graph import EdgeRecord
 from assocarray.values import Value
 from conftest import DATA_DIR, GOLDEN_DIR, load_algebra_file
@@ -32,27 +34,28 @@ from conftest import DATA_DIR, GOLDEN_DIR, load_algebra_file
 
 def test_finite_verdicts_are_exhaustive(powerset_xy):
     report = validate(powerset_xy)
-    assert report.identity.mode == "exhaustive"
-    assert report.crit1.mode == "exhaustive"
-    assert not report.crit2.passed and report.crit2.mode is None
-    assert report.crit2.witness == (Value.tokens(["x"]), Value.tokens(["y"]))
+    assert report.verdicts[CHECK_IDENTITY].mode == "exhaustive"
+    assert report.verdicts[CHECK_CRITERION1].mode == "exhaustive"
+    assert not report.verdicts[CHECK_CRITERION2].passed
+    assert report.verdicts[CHECK_CRITERION2].mode is None
+    assert report.verdicts[CHECK_CRITERION2].witness == (Value.tokens(["x"]), Value.tokens(["y"]))
 
 
 def test_infinite_verdicts_are_sampled(naturals):
     report = validate(naturals)
-    for _, verdict in report.checks():
+    for verdict in report.verdicts.values():
         assert verdict.passed
         assert verdict.mode == "sampled 1000"
     assert report.certified  # backed by the family's proofs
 
 
 def test_sample_count_is_configurable(naturals):
-    verdict = check_identity_laws(naturals, samples=50)
+    verdict = check(naturals, CHECK_IDENTITY, samples=50)
     assert verdict.mode == "sampled 50"
 
 
 def test_integer_ring_fails_criterion_1(integers):
-    verdict = check_no_additive_inverses(integers)
+    verdict = check(integers, CHECK_CRITERION1)
     assert not verdict.passed
     assert verdict.witness == (Value.number(1), Value.number(-1))
     report = validate(integers)
@@ -62,34 +65,34 @@ def test_integer_ring_fails_criterion_1(integers):
 
 def test_max_plus_fails_identity_and_two_criteria(max_plus):
     report = validate(max_plus)
-    assert not report.identity.passed
-    assert report.identity.witness == (Value.number(-1),)
-    assert report.crit1.passed
-    assert not report.crit2.passed
-    assert report.crit2.witness == (Value.number(5), Value.number(-5))
-    assert not report.crit3.passed
-    assert report.crit3.witness == (Value.number(5),)
+    assert not report.verdicts[CHECK_IDENTITY].passed
+    assert report.verdicts[CHECK_IDENTITY].witness == (Value.number(-1),)
+    assert report.verdicts[CHECK_CRITERION1].passed
+    assert not report.verdicts[CHECK_CRITERION2].passed
+    assert report.verdicts[CHECK_CRITERION2].witness == (Value.number(5), Value.number(-5))
+    assert not report.verdicts[CHECK_CRITERION3].passed
+    assert report.verdicts[CHECK_CRITERION3].witness == (Value.number(5),)
 
 
 def test_annihilator_fixture_fails_only_criterion_3(annihilator_right):
     report = validate(annihilator_right)
-    assert report.identity.passed
-    assert report.crit1.passed
-    assert report.crit2.passed
-    assert not report.crit3.passed
-    assert report.crit3.witness == (Value.text("v"),)
+    assert report.verdicts[CHECK_IDENTITY].passed
+    assert report.verdicts[CHECK_CRITERION1].passed
+    assert report.verdicts[CHECK_CRITERION2].passed
+    assert not report.verdicts[CHECK_CRITERION3].passed
+    assert report.verdicts[CHECK_CRITERION3].witness == (Value.text("v"),)
     assert not report.certified
 
 
 def test_xor_fixture_fails_only_criterion_1(xor_and):
     report = validate(xor_and)
     assert report.failures() == (CHECK_CRITERION1,)
-    assert report.crit1.witness == (Value.number(1), Value.number(1))
+    assert report.verdicts[CHECK_CRITERION1].witness == (Value.number(1), Value.number(1))
 
 
 def test_identity_violating_fixture(noncommutative):
     # times(q, p) = p although p is the designated one
-    verdict = check_identity_laws(noncommutative)
+    verdict = check(noncommutative, CHECK_IDENTITY)
     assert not verdict.passed
     assert verdict.witness == (Value.text("q"),)
 
@@ -98,7 +101,7 @@ def test_identity_fixture_from_file():
     from tests.conftest import load_algebra_file
 
     alg = load_algebra_file("identity_violating")
-    verdict = check_identity_laws(alg)
+    verdict = check(alg, CHECK_IDENTITY)
     assert not verdict.passed
     assert verdict.witness == (Value.text("v"),)
 
@@ -122,17 +125,12 @@ FACT_FAMILIES = [
     *(("max_min_chain", {"levels": n}) for n in (2, 5, 64)),
     *(("powerset", {"universe": [f"t{i}" for i in range(n)]}) for n in (0, 1, 2, 5, 13, 40)),
 ]
-CHECKERS = {
-    CHECK_IDENTITY: check_identity_laws,
-    CHECK_CRITERION1: check_no_additive_inverses,
-    CHECK_CRITERION2: check_zero_product,
-    CHECK_CRITERION3: check_annihilator,
-}
+CHECKERS = {CHECK_IDENTITY, CHECK_CRITERION1, CHECK_CRITERION2, CHECK_CRITERION3}
 
 
 def assert_facts_partition_the_checks(alg):
     assert not alg.proved & alg.known_failures.keys()
-    assert alg.proved | alg.known_failures.keys() == CHECKERS.keys()
+    assert alg.proved | alg.known_failures.keys() == CHECKERS
 
 
 def family_id(family, params):
@@ -147,22 +145,22 @@ def family_id(family, params):
 def test_builtin_facts_replay_against_the_checker(family, params):
     alg = make_builtin(family, **params)
     assert_facts_partition_the_checks(alg)
-    for check, checker in CHECKERS.items():
-        verdict = checker(alg, samples=10_000)
-        if check in alg.proved:
-            assert verdict.passed, f"{check} is proved but fails at {verdict.witness}"
+    for name in CHECKERS:
+        verdict = check(alg, name, samples=10_000)
+        if name in alg.proved:
+            assert verdict.passed, f"{name} is proved but fails at {verdict.witness}"
             assert verdict.mode == ("exhaustive" if alg.is_finite else "sampled 10000")
         else:
             # The checker replays the known witness and raises unless it
             # violates the law.
-            assert verdict.witness == alg.known_failures[check]
+            assert verdict.witness == alg.known_failures[name]
 
 
 def test_facts_of_the_largest_chain_partition_the_checks():
     # The sets alone: scanning 4096 levels pairwise is what the proofs spare.
     chain = make_builtin("max_min_chain", levels=4096)
     assert_facts_partition_the_checks(chain)
-    assert chain.proved == CHECKERS.keys()
+    assert chain.proved == CHECKERS
 
 
 def test_sampled_pass_without_flag_never_certifies(naturals):
@@ -177,7 +175,7 @@ def test_sampled_pass_without_flag_never_certifies(naturals):
         sample_op=naturals.sample_op,
     )
     report = validate(unflagged)
-    assert all(v.passed for _, v in report.checks())
+    assert all(v.passed for v in report.verdicts.values())
     assert not report.certified
 
 
@@ -194,18 +192,23 @@ def test_bogus_known_failure_is_rejected(naturals):
         known_failures={CHECK_CRITERION1: (Value.number(1), Value.number(1))},
     )
     with pytest.raises(InternalConsistencyError):
-        check_no_additive_inverses(lying)
+        check(lying, CHECK_CRITERION1)
 
 
 def test_annihilator_check_covers_both_sides(annihilator_left):
-    verdict = check_annihilator(annihilator_left)
+    verdict = check(annihilator_left, CHECK_CRITERION3)
     assert not verdict.passed
     assert verdict.witness == (Value.text("v"),)
 
 
 def test_zero_product_check_on_chain():
     chain = make_builtin("max_min_chain", levels=4)
-    assert check_zero_product(chain).passed
+    assert check(chain, CHECK_CRITERION2).passed
+
+
+def test_unknown_check_name_is_a_configuration_error(naturals):
+    with pytest.raises(ConfigurationError, match="criterion4"):
+        check(naturals, "criterion4")
 
 
 def test_machine_lines_format(powerset_xy):
@@ -253,6 +256,15 @@ def test_witness_zero_product_rejects_nonzero_products(naturals):
 def test_witness_annihilator_rejects_compliant_values(naturals):
     with pytest.raises(PreconditionError):
         witness_annihilator(Value.number(1), naturals)
+
+
+@pytest.mark.parametrize(
+    "build, arity",
+    [(witness_additive_inverse, 2), (witness_zero_product, 2), (witness_annihilator, 1)],
+)
+def test_witness_builders_reject_values_outside_the_carrier(naturals, build, arity):
+    with pytest.raises(DomainError, match="not in the carrier"):
+        build(*[Value.text("x")] * arity, naturals)
 
 
 def test_demonstrate_cancelling_parallel_edges(integers):
@@ -358,7 +370,7 @@ def test_checks_use_sampler_not_carrier_for_infinite(naturals):
         decode_op=naturals.decode_op,
         sample_op=lambda rng: Value.number(rng.randint(3, 4)),
     )
-    verdict = check_no_additive_inverses(flaky, samples=200)
+    verdict = check(flaky, CHECK_CRITERION1, samples=200)
     assert not verdict.passed
     assert verdict.witness == (Value.number(3), Value.number(4))
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from assocarray.algebra import Algebra
+from assocarray.algebra import Algebra, make_builtin
 from assocarray.array import empty, from_triples, support, to_triples
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.graph import (
@@ -19,7 +19,6 @@ from assocarray.graph import (
     reverse,
     reverse_adjacency,
     shared_words_array,
-    token_universe,
 )
 from assocarray.values import Value
 
@@ -156,7 +155,6 @@ def test_shared_words_array_worked_example():
         ("d2", "d1", Value.tokens(["pear"])),
         ("d2", "d2", Value.tokens(["pear", "plum"])),
     ]
-    assert token_universe(E) == ("apple", "pear", "plum")
 
 
 def test_word_consistency_holds_by_construction():
@@ -181,7 +179,8 @@ def test_word_consistency_rejects_non_set_values(naturals):
 
 
 def test_document_adjacency_worked_example():
-    D = document_adjacency(shared_words_array(DOCS))
+    alg = make_builtin("powerset", universe=["apple", "pear", "plum"])
+    D = document_adjacency(shared_words_array(DOCS), alg)
     assert to_triples(D) == [
         ("d1", "d1", Value.tokens(["apple", "pear"])),
         ("d1", "d2", Value.tokens(["pear"])),
@@ -192,12 +191,13 @@ def test_document_adjacency_worked_example():
 
 def test_document_adjacency_single_document():
     E = shared_words_array({"d1": ["a"]})
-    assert to_triples(document_adjacency(E)) == [("d1", "d1", Value.tokens(["a"]))]
+    alg = make_builtin("powerset", universe=["a"])
+    assert to_triples(document_adjacency(E, alg)) == [("d1", "d1", Value.tokens(["a"]))]
 
 
 def test_document_adjacency_disjoint_documents():
     E = shared_words_array({"d1": ["only1"], "d2": ["only2"]})
-    D = document_adjacency(E)
+    D = document_adjacency(E, make_builtin("powerset", universe=["only1", "only2"]))
     assert support(D) == {("d1", "d1"), ("d2", "d2")}
 
 
@@ -205,7 +205,7 @@ def test_document_adjacency_rejects_inconsistent_input(powerset_xy):
     w = Value.tokens(["x"])
     E = from_triples([("d1", "d2", w), ("d3", "d4", w)], powerset_xy)
     with pytest.raises(PreconditionError) as exc_info:
-        document_adjacency(E)
+        document_adjacency(E, powerset_xy)
     assert exc_info.value.violation == WordOverlapViolation("d1", "d2", "d3", "d4", "x")
 
 
