@@ -315,7 +315,7 @@ def _max_plus_realzero() -> Algebra:
     )
 
 
-def _max_min_chain(levels: int) -> Algebra:
+def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
     if not isinstance(levels, int) or levels < 2:
         raise ConfigurationError("max_min_chain requires an integer level count >= 2")
     if levels > _MAX_CHAIN_LEVELS:
@@ -324,7 +324,7 @@ def _max_min_chain(levels: int) -> Algebra:
         )
     carrier = tuple(Value.number(i) for i in range(levels))
     members = set(carrier)
-    name = f"max_min_chain({levels})"
+    name = name or f"max_min_chain({levels})"
 
     def decode_op(text: str) -> Value:
         v = parse_number(text)
@@ -466,36 +466,6 @@ def _powerset(universe: Sequence[str]) -> Algebra:
     )
 
 
-def _boolean_or_and() -> Algebra:
-    zero = Value.number(0)
-    one = Value.number(1)
-    carrier = (zero, one)
-
-    def decode_op(text: str) -> Value:
-        if text == "0":
-            return zero
-        if text == "1":
-            return one
-        raise ValueError(f"{text!r} is not a boolean value (0 or 1)")
-
-    return Algebra(
-        name="boolean_or_and",
-        zero=zero,
-        one=one,
-        plus_op=lambda a, b: one if (a.payload or b.payload) else zero,
-        times_op=lambda a, b: one if (a.payload and b.payload) else zero,
-        contains_op=lambda v: v in (zero, one),
-        decode_op=decode_op,
-        carrier=carrier,
-        proved=frozenset({
-            CHECK_IDENTITY,  # 0 or x = x and 1 and x = x
-            CHECK_CRITERION1,  # 1 or b = 1
-            CHECK_CRITERION2,  # 1 and 1 = 1
-            CHECK_CRITERION3,  # 0 and x = 0
-        }),
-    )
-
-
 _FAMILIES: dict[str, Callable[..., Algebra]] = {
     "natural_arithmetic": _natural,
     "nonneg_rational_arithmetic": _nonneg_rational,
@@ -503,7 +473,8 @@ _FAMILIES: dict[str, Callable[..., Algebra]] = {
     "max_min_chain": _max_min_chain,
     "max_min_strings": _max_min_strings,
     "powerset": _powerset,
-    "boolean_or_and": _boolean_or_and,
+    # or/and on {0, 1} is max/min on the two-level chain.
+    "boolean_or_and": lambda: _max_min_chain(2, "boolean_or_and"),
     "max_plus_realzero": _max_plus_realzero,
 }
 

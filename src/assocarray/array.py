@@ -15,11 +15,11 @@ what lets deliberately lawless algebras behave reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import CHECK_CRITERION3, CHECK_IDENTITY, Algebra
 from .errors import ValidationError
-from .values import Value, encode_value
+from .values import Value, encode_value, _has_field_break
 
 Triple = tuple[str, str, Value]
 
@@ -27,7 +27,7 @@ Triple = tuple[str, str, Value]
 def check_key(key: str) -> str:
     if not isinstance(key, str) or not key:
         raise ValidationError(f"key must be a non-empty string, got {key!r}")
-    if "\t" in key or "\n" in key or "\r" in key:
+    if _has_field_break(key):
         raise ValidationError(f"key {key!r} contains a tab or line break")
     return key
 
@@ -55,20 +55,20 @@ class AssociativeArray:
         return sum(len(cols) for cols in self.rows.values())
 
 
-def _build(entries: dict[tuple[str, str], Value], alg: Algebra) -> AssociativeArray:
-    # entries may still contain zeros; drop them here so every constructor
-    # shares one sparsity rule.
-    rows: dict[str, dict[str, Value]] = {}
+def _build(rows: Mapping[str, Mapping[str, Value]], alg: Algebra) -> AssociativeArray:
+    # rows may still hold zeros; drop them here so every constructor shares
+    # one sparsity rule.  Both levels are copied, so no caller's map is aliased.
+    zero = alg.zero
+    built: dict[str, dict[str, Value]] = {}
     col_seen: set[str] = set()
-    for r, c in sorted(entries):
-        v = entries[(r, c)]
-        if v == alg.zero:
-            continue
-        rows.setdefault(r, {})[c] = v
-        col_seen.add(c)
+    for r in sorted(rows):
+        cols = {c: v for c, v in sorted(rows[r].items()) if v != zero}
+        if cols:
+            built[r] = cols
+            col_seen.update(cols)
     return AssociativeArray(
-        rows=rows,
-        row_keys=tuple(rows),
+        rows=built,
+        row_keys=tuple(built),
         col_keys=tuple(sorted(col_seen)),
     )
 
@@ -84,7 +84,7 @@ def from_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
     plus is not commutative.  Explicit zero inputs participate in the fold as
     ordinary terms; coordinates whose folded value equals zero are dropped.
     """
-    entries: dict[tuple[str, str], Value] = {}
+    rows: dict[str, dict[str, Value]] = {}
     for r, c, v in triples:
         check_key(r)
         check_key(c)
@@ -92,12 +92,9 @@ def from_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
             raise ValidationError(
                 f"value {encode_value(v)} at ({r}, {c}) is outside the carrier of {alg.name}"
             )
-        coord = (r, c)
-        if coord in entries:
-            entries[coord] = alg.plus_op(entries[coord], v)
-        else:
-            entries[coord] = v
-    return _build(entries, alg)
+        row = rows.setdefault(r, {})
+        row[c] = alg.plus_op(row[c], v) if c in row else v
+    return _build(rows, alg)
 
 
 def get(arr: AssociativeArray, row: str, col: str, alg: Algebra) -> Value:
@@ -131,10 +128,10 @@ def transpose(arr: AssociativeArray) -> AssociativeArray:
 def _ewise(
     a: AssociativeArray, b: AssociativeArray, alg: Algebra, op: Callable[[Value, Value], Value]
 ) -> AssociativeArray:
-    entries = {
-        (r, c): op(get(a, r, c, alg), get(b, r, c, alg)) for r, c in support(a) | support(b)
-    }
-    return _build(entries, alg)
+    rows: dict[str, dict[str, Value]] = {}
+    for r, c in support(a) | support(b):
+        rows.setdefault(r, {})[c] = op(get(a, r, c, alg), get(b, r, c, alg))
+    return _build(rows, alg)
 
 
 def ewise_add(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> AssociativeArray:
@@ -219,7 +216,7 @@ def matmul(
     out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
     plus, times, zero = alg.plus_op, alg.times_op, alg.zero
     a_rows, b_rows = a.rows, b.rows
-    entries: dict[tuple[str, str], Value] = {}
+    rows: dict[str, dict[str, Value]] = {}
     if _zero_is_inert(alg):
         for i in out_rows:
             acc: dict[str, Value] = {}
@@ -230,9 +227,8 @@ def matmul(
                 for j, b_kj in b_row.items():
                     term = times(a_ik, b_kj)
                     acc[j] = plus(acc[j], term) if j in acc else term
-            for j, v in acc.items():
-                entries[(i, j)] = v
-        return _build(entries, alg)
+            rows[i] = acc
+        return _build(rows, alg)
 
     inner = sorted(set(a.col_keys) | set(b.row_keys))
     if not inner:
@@ -272,10 +268,11 @@ def matmul(
                     gap = p - s[1] - 1
                     s[0] = plus(_run(plus, s[0], t00, gap) if gap else s[0], t)
                     s[1] = p
+        row = rows[i] = {}
         for j in out_cols:
             s = folds.get(j)
-            entries[(i, j)] = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
-    return _build(entries, alg)
+            row[j] = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
+    return _build(rows, alg)
 
 
 def check_invariants(arr: AssociativeArray, alg: Algebra | None = None) -> None:

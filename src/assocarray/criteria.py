@@ -100,10 +100,12 @@ def check(alg: Algebra, name: str, *, samples: int = DEFAULT_SAMPLES, seed: int 
 
     A known failure wins; else every candidate is tried: the carrier (or
     every pair of nonzero members) when it is finite, else ``samples``
-    seeded draws.  The first violation is replayed.
+    seeded draws, at least one.  The first violation is replayed.
     """
     if name not in CHECK_LABELS:
         raise ConfigurationError(f"unknown check {name!r}; known: {', '.join(CHECK_LABELS)}")
+    if samples < 1:
+        raise ConfigurationError(f"samples must be at least 1, got {samples}")
     known = alg.known_failures.get(name)
     if known is not None:
         return _fail(alg, name, tuple(known))

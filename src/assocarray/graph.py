@@ -23,6 +23,7 @@ from .algebra import Algebra, make_builtin
 from .array import (
     AssociativeArray,
     Triple,
+    _build,
     check_key,
     from_triples,
     matmul,
@@ -81,10 +82,8 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
     lie about the graph.
     """
     check_graph(g)
-    out_triples: list[Triple] = []
-    in_triples: list[Triple] = []
     for edge in g:
-        for side, triples in ((edge.sources, out_triples), (edge.targets, in_triples)):
+        for side in (edge.sources, edge.targets):
             for vertex, weight in side.items():
                 if not alg.contains_op(weight):
                     raise ValidationError(
@@ -95,10 +94,9 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
                     raise ValidationError(
                         f"edge {edge.key!r} has zero weight at vertex {vertex!r}"
                     )
-                triples.append((edge.key, vertex, weight))
     return IncidencePair(
-        e_out=from_triples(out_triples, alg),
-        e_in=from_triples(in_triples, alg),
+        e_out=_build({edge.key: edge.sources for edge in g}, alg),
+        e_in=_build({edge.key: edge.targets for edge in g}, alg),
     )
 
 

@@ -26,6 +26,12 @@ _NUMBER_FORM = re.compile(r"-?\d+(?:/\d+)?")
 _TOKEN_FORBIDDEN = re.compile(r"[\s,{}]")
 
 
+def _has_field_break(s: str) -> bool:
+    """Whether ``s`` holds a tab or a character ``str.splitlines`` breaks on,
+    either of which would split a field of the tab-separated formats."""
+    return "\t" in s or "".join(s.splitlines()) != s
+
+
 @dataclass(frozen=True, slots=True)
 class Value:
     """One element of a value set.
@@ -50,8 +56,8 @@ class Value:
     def text(s: str) -> "Value":
         if not isinstance(s, str):
             raise TypeError(f"text payload must be str, got {s!r}")
-        if "\t" in s or "\n" in s or "\r" in s:
-            raise ValueError("text payload may not contain tab or newline characters")
+        if _has_field_break(s):
+            raise ValueError(f"text payload {s!r} contains a tab or line break")
         return Value(TEXT, s)
 
     @staticmethod
@@ -135,6 +141,4 @@ def decode_any(text: str) -> Value:
         return parse_token_set(text)
     if _NUMBER_FORM.fullmatch(text):
         return parse_number(text)
-    if "\t" in text or "\n" in text or "\r" in text:
-        raise ValueError("string value may not contain tab or newline characters")
-    return Value(TEXT, text)
+    return Value.text(text)

@@ -34,6 +34,10 @@ CERTIFIED_SPECS = (
 
 CORPUS_GRAPHS_PER_ALGEBRA = 1000
 
+# A tab and every character str.splitlines breaks on: none may appear in a
+# key or a text value, or the tab-separated formats could not read it back.
+FIELD_BREAKS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def entries_of(arr):
     return {(r, c): v for r, c, v in arr}

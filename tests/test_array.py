@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR,
+    FIELD_BREAKS,
     dense_matmul,
     entries_of,
     load_algebra_file,
@@ -102,9 +103,19 @@ def differential_algebra(name):
 
 def test_check_key_rules():
     assert check_key("a b") == "a b"
-    for bad in ("", "a\tb", "a\nb", 7):
+    assert check_key("a\x1fb") == "a\x1fb"  # not a line break
+    for bad in ("", 7, *(f"a{ch}b" for ch in FIELD_BREAKS), *FIELD_BREAKS):
         with pytest.raises(ValidationError):
             check_key(bad)
+
+
+@pytest.mark.parametrize("ch", FIELD_BREAKS)
+def test_keys_that_would_not_read_back_are_rejected(naturals, ch):
+    one = Value.number(1)
+    with pytest.raises(ValidationError, match="tab or line break"):
+        from_triples([(f"a{ch}b", "c", one)], naturals)
+    with pytest.raises(ValidationError, match="tab or line break"):
+        incidence_arrays((EdgeRecord("k", {f"a{ch}b": one}, {"c": one}),), naturals)
 
 
 def test_from_triples_folds_duplicates_in_order(naturals):

@@ -278,6 +278,15 @@ def test_parse_failure_exits_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_boolean_weight_outside_the_carrier_exits_2(capsys, tmp_path):
+    # boolean_or_and is the two-level chain, so it decodes as one.
+    bad = tmp_path / "bad.edges"
+    bad.write_text("k1\ta\tb\t1\nk2\tb\tc\t2\n")
+    code, out, err = run(capsys, "adjacency", "--algebra", "boolean", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}, line 2, out_value: '2' is not a level of boolean_or_and\n"
+
+
 def test_non_utf8_input_exits_2_with_line(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_bytes(b"k1\ta\tb\n# note\nk2\tb\t\xffc\n")

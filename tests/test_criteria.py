@@ -211,6 +211,14 @@ def test_unknown_check_name_is_a_configuration_error(naturals):
         check(naturals, "criterion4")
 
 
+def test_samples_below_one_are_a_configuration_error(naturals, integers):
+    # A pass over no draws would state coverage that was never tested.
+    with pytest.raises(ConfigurationError, match="samples must be at least 1"):
+        check(naturals, CHECK_CRITERION1, samples=0)
+    with pytest.raises(ConfigurationError, match="samples must be at least 1"):
+        validate(integers, samples=-5)
+
+
 def test_machine_lines_format(powerset_xy):
     lines = validate(powerset_xy).to_machine_lines()
     assert lines == [

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocarray.algebra import from_finite_spec, make_builtin
@@ -166,6 +166,41 @@ def test_edge_list_roundtrip_on_random_graphs(naturals):
         text = serialize_edge_list(g)
         assert parse_edge_list(text, naturals) == g
         assert serialize_edge_list(parse_edge_list(text, naturals)) == text
+
+
+# Lines of 3-5 fields, many of them valid, joined by one of several line
+# breaks; st.text() adds arbitrary text, where nearly every draw is an error.
+edge_field_st = st.one_of(
+    st.sampled_from(["a", "b", "1", "2", "{x}", "{x,y}"]),
+    st.sampled_from(["0", "{}", "#", " ", ""]),
+    st.text(max_size=3),
+)
+edge_lines_st = st.lists(
+    st.lists(edge_field_st, min_size=3, max_size=5).map("\t".join), max_size=6
+)
+edge_text_st = st.one_of(
+    st.builds(str.join, st.sampled_from(["\n", "\r\n", "\x0b", "\u2028"]), edge_lines_st),
+    st.text(max_size=60),
+)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [make_builtin("natural_arithmetic"), make_builtin("powerset", universe=["x", "y"])],
+    ids=["natural", "powerset"],
+)
+@settings(max_examples=300, deadline=None)
+@given(text=edge_text_st)
+def test_parse_edge_list_fails_on_a_line_or_round_trips(alg, text):
+    try:
+        g = parse_edge_list(text, alg)
+    except ParseError as exc:
+        assert 1 <= exc.line_no <= max(1, len(text.splitlines()))
+        return
+    again = parse_edge_list(serialize_edge_list(g), alg)
+    assert {e.key: (e.sources, e.targets) for e in again} == {
+        e.key: (e.sources, e.targets) for e in g
+    }
 
 
 def test_parse_set_triples_is_universe_free():

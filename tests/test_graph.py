@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from conftest import DATA_DIR, load_algebra_file
 
 from assocarray.algebra import Algebra, make_builtin
-from assocarray.array import empty, from_triples, support, to_triples
+from assocarray.array import check_invariants, empty, from_triples, support, to_triples
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.graph import (
     EdgeRecord,
@@ -65,6 +66,48 @@ def test_incidence_rejects_zero_weight(naturals):
     g = (EdgeRecord("k", {"a": Value.number(0)}, {"b": ONE}),)
     with pytest.raises(ValidationError, match="zero weight"):
         incidence_arrays(g, naturals)
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ((EdgeRecord("k", {"a": Value.number(-1)}, {"b": ONE}),), "outside the carrier"),
+        ((EdgeRecord("k", {"a": ONE}, {"b": Value.text("b")}),), "outside the carrier"),
+        ((EdgeRecord("k", {"a\tb": ONE}, {"b": ONE}),), "tab or line break"),
+        ((EdgeRecord("k", {"a": ONE}, {"b\tc": ONE}),), "tab or line break"),
+        ((EdgeRecord("", {"a": ONE}, {"b": ONE}),), "non-empty string"),
+    ],
+    ids=["source-weight", "target-weight", "source-tab", "target-tab", "empty-edge-key"],
+)
+def test_incidence_rejects_bad_graphs_built_in_code(naturals, graph, message):
+    with pytest.raises(ValidationError, match=message):
+        incidence_arrays(graph, naturals)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["natural_arithmetic", "integer_ring", "max_plus_realzero"]
+    + sorted(path.stem for path in DATA_DIR.glob("*.alg")),
+)
+def test_incidence_equals_the_triples_construction(name):
+    alg = load_algebra_file(name) if (DATA_DIR / f"{name}.alg").exists() else make_builtin(name)
+    rng = random.Random(3)
+    for _ in range(50):
+        g = random_graph(alg, rng)
+        p = incidence_arrays(g, alg)
+        for arr, side in ((p.e_out, "sources"), (p.e_in, "targets")):
+            triples = [(e.key, v, w) for e in g for v, w in getattr(e, side).items()]
+            assert arr == from_triples(triples, alg)
+            check_invariants(arr, alg)
+
+
+def test_incidence_does_not_alias_the_graph(naturals):
+    sources, targets = {"a": ONE}, {"b": ONE}
+    p = incidence_arrays((EdgeRecord("k", sources, targets),), naturals)
+    before = (to_triples(p.e_out), to_triples(p.e_in))
+    sources["c"] = ONE
+    targets["b"] = Value.number(5)
+    assert (to_triples(p.e_out), to_triples(p.e_in)) == before
 
 
 def test_check_graph_rejects_duplicates_and_dangling():

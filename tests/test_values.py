@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FIELD_BREAKS
+
 from assocarray.values import (
     TOP_ENCODING,
     TOP_PAYLOAD,
@@ -34,9 +36,13 @@ def test_number_rejects_bool_and_float():
 
 
 def test_text_rejects_tabs_and_newlines():
-    for bad in ("a\tb", "a\nb", "a\rb"):
+    for ch in FIELD_BREAKS:
+        for bad in (f"a{ch}b", ch, f"a{ch}"):
+            with pytest.raises(ValueError):
+                Value.text(bad)
         with pytest.raises(ValueError):
-            Value.text(bad)
+            decode_any(f"a{ch}b")
+    assert Value.text("a\x1fb").payload == "a\x1fb"  # not a line break
 
 
 def test_tokens_sorted_and_deduplicated():
