@@ -301,7 +301,7 @@ def _max_plus_realzero() -> Algebra:
         name=name,
         zero=Value.number(0),
         one=Value.number(0),
-        plus_op=lambda a, b: Value.number(max(_num(a), _num(b))),
+        plus_op=lambda a, b: a if _num(a) >= _num(b) else b,
         times_op=lambda a, b: Value.number(_num(a) + _num(b)),
         contains_op=member,
         decode_op=_decode_numeric(name, member),
@@ -400,9 +400,12 @@ def _max_min_strings() -> Algebra:
 
 
 def _powerset(universe: Sequence[str]) -> Algebra:
-    toks = sorted(set(universe))
-    for tok in toks:
-        Value.tokens([tok])  # charset validation
+    if isinstance(universe, str) or not isinstance(universe, Sequence):
+        raise ConfigurationError("powerset universe must be a sequence of token strings")
+    try:
+        toks = list(Value.tokens(universe).payload)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"powerset universe: {exc}") from None
     universe_set = frozenset(toks)
     name = "powerset({" + ",".join(toks) + "})"
 
@@ -480,13 +483,16 @@ _FAMILIES: dict[str, Callable[..., Algebra]] = {
 
 BUILTIN_FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
+# The parameters each family takes; a family not listed takes none.
+_FAMILY_PARAMS = {"max_min_chain": {"levels"}, "powerset": {"universe"}}
+
 
 def make_builtin(name: str, **params) -> Algebra:
     """Construct a builtin algebra family member.
 
     ``max_min_chain`` takes ``levels`` (int, 2 to 4096); ``powerset`` takes
     ``universe`` (a sequence of token strings).  The other families take no
-    parameters.
+    parameters.  Errors name a parameter as its command-line flag spells it.
     """
     try:
         builder = _FAMILIES[name]
@@ -494,17 +500,9 @@ def make_builtin(name: str, **params) -> Algebra:
         raise ConfigurationError(
             f"unknown builtin algebra {name!r}; known families: {', '.join(BUILTIN_FAMILY_NAMES)}"
         ) from None
-    if name == "max_min_chain":
-        if set(params) != {"levels"}:
-            raise ConfigurationError("max_min_chain requires exactly the 'levels' parameter")
-        return builder(params["levels"])
-    if name == "powerset":
-        if set(params) != {"universe"}:
-            raise ConfigurationError("powerset requires exactly the 'universe' parameter")
-        universe = params["universe"]
-        if isinstance(universe, str) or not isinstance(universe, Sequence):
-            raise ConfigurationError("powerset universe must be a sequence of token strings")
-        return builder(universe)
-    if params:
-        raise ConfigurationError(f"{name} takes no parameters, got {sorted(params)}")
-    return builder()
+    takes = _FAMILY_PARAMS.get(name, set())
+    if set(params) != takes:
+        wanted = ", ".join(f"--{p}" for p in takes) or "no parameters"
+        given = ", ".join(f"--{p}" for p in sorted(params)) or "none"
+        raise ConfigurationError(f"{name} takes {wanted}, got {given}")
+    return builder(**params)

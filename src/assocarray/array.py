@@ -118,10 +118,11 @@ def equal_support(a: AssociativeArray, b: AssociativeArray) -> bool:
 
 
 def transpose(arr: AssociativeArray) -> AssociativeArray:
-    flipped: dict[str, dict[str, Value]] = {}
+    # col_keys are sorted and rows come in ascending order, so filling the
+    # columns row by row leaves both levels sorted with no sort here.
+    rows: dict[str, dict[str, Value]] = {c: {} for c in arr.col_keys}
     for r, c, v in arr:
-        flipped.setdefault(c, {})[r] = v
-    rows = {c: dict(sorted(flipped[c].items())) for c in sorted(flipped)}
+        rows[c][r] = v
     return AssociativeArray(rows=rows, row_keys=arr.col_keys, col_keys=arr.row_keys)
 
 

@@ -37,10 +37,10 @@ from .criteria import (
 )
 from .errors import AssocArrayError, ConfigurationError, PreconditionError
 from .fileio import (
-    ParseError,
     parse_edge_list,
     parse_finite_algebra,
     parse_set_triples,
+    read_text,
     serialize_edge_list,
     serialize_triples,
 )
@@ -62,43 +62,25 @@ _ALIASES = {
     "strings": "max_min_strings",
 }
 
-def _read_text(path: str) -> str:
-    """Read a UTF-8 file; undecodable bytes are a parse error on their line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = 1 + data.count(b"\n", 0, exc.start)
-        raise ParseError(path, line_no, "line", f"not valid UTF-8 ({exc.reason})") from None
-
 
 def resolve_algebra(args: argparse.Namespace) -> Algebra:
     """Turn the ``--algebra`` selector into an Algebra.
 
-    Builtin family names (with aliases, hyphens allowed) win; anything else
+    Builtin family names (with aliases, hyphens allowed) win, and get the
+    family flags they were given for ``make_builtin`` to judge; anything else
     must be a path to a finite-algebra table file.
     """
     name = args.algebra.replace("-", "_")
     name = _ALIASES.get(name, name)
     if name in BUILTIN_FAMILY_NAMES:
         params = {}
-        if name == "max_min_chain":
-            if args.levels is None:
-                raise ConfigurationError("max_min_chain needs --levels")
+        if args.levels is not None:
             params["levels"] = args.levels
-        elif args.levels is not None:
-            raise ConfigurationError(f"{name} does not take --levels")
-        if name == "powerset":
-            if args.universe is None:
-                raise ConfigurationError("powerset needs --universe (comma-separated tokens)")
-            tokens = [t for t in args.universe.split(",") if t]
-            params["universe"] = tokens
-        elif args.universe is not None:
-            raise ConfigurationError(f"{name} does not take --universe")
+        if args.universe is not None:
+            params["universe"] = [t for t in args.universe.split(",") if t]
         return make_builtin(name, **params)
     if os.path.isfile(args.algebra):
-        spec = parse_finite_algebra(_read_text(args.algebra), role=args.algebra)
+        spec = parse_finite_algebra(read_text(args.algebra), role=args.algebra)
         stem = os.path.splitext(os.path.basename(args.algebra))[0]
         return from_finite_spec(spec, name=stem)
     raise ConfigurationError(
@@ -116,7 +98,7 @@ def _write_output(args: argparse.Namespace, data: str) -> None:
 
 def cmd_adjacency(args: argparse.Namespace) -> int:
     alg = resolve_algebra(args)
-    graph = parse_edge_list(_read_text(args.input), alg, role=args.input)
+    graph = parse_edge_list(read_text(args.input), alg, role=args.input)
     # A builtin family's laws decide every check; a table is scanned.
     if alg.proved.union(alg.known_failures) == set(CHECK_LABELS):
         failed = [name for name in CHECK_LABELS if name in alg.known_failures]
@@ -193,7 +175,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_doc_adjacency(args: argparse.Namespace) -> int:
-    triples = parse_set_triples(_read_text(args.input), role=args.input)
+    triples = parse_set_triples(read_text(args.input), role=args.input)
     tokens = sorted({t for _, _, v in triples for t in v.payload})
     alg = make_builtin("powerset", universe=tokens)
     shared = from_triples(triples, alg)

@@ -1,16 +1,18 @@
 """Parsers and serializers for the on-disk formats.
 
-Three formats, all UTF-8 text with LF line endings and tab-separated fields:
-value triples (``row<TAB>col<TAB>value``), edge lists
+Three formats, all UTF-8 text with tab-separated fields: value triples
+(``row<TAB>col<TAB>value``), edge lists
 (``edge_key<TAB>src<TAB>dst[<TAB>out_value[<TAB>in_value]]``), and finite
-algebra operation tables.  Blank lines and lines starting with ``#`` are
-skipped everywhere.  Serialization emits canonical value encodings in sorted
-order so that parse and serialize round-trip byte-identically.
+algebra operation tables.  Lines break wherever ``str.splitlines`` breaks
+them, and every reported line number counts lines that way.  Blank lines and
+lines starting with ``#`` are skipped everywhere.  Serialization emits
+canonical value encodings in sorted order so that parse and serialize
+round-trip byte-identically.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .algebra import Algebra, FiniteAlgebraSpec
 from .array import AssociativeArray, Triple, check_key
@@ -43,10 +45,26 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _checked_key(role: str, line_no: int, field: str, raw: str) -> str:
+def read_text(path: str) -> str:
+    """Read a UTF-8 file; an undecodable byte is a parse error on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return check_key(raw)
-    except ValidationError as exc:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the "x" stands for the bad byte, so a break just before it counts
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(path, line_no, "line", f"not valid UTF-8 ({exc.reason})") from None
+
+
+T = TypeVar("T")
+
+
+def _field(role: str, line_no: int, field: str, read: Callable[[str], T], raw: str) -> T:
+    """Apply one field rule, reporting its failure as a ParseError on the line."""
+    try:
+        return read(raw)
+    except (ValueError, ValidationError) as exc:
         raise ParseError(role, line_no, field, str(exc)) from None
 
 
@@ -58,12 +76,9 @@ def _parse_triples(text: str, decode: Callable[[str], Value], role: str) -> list
             raise ParseError(
                 role, line_no, "line", f"expected 3 tab-separated fields, got {len(fields)}"
             )
-        row = _checked_key(role, line_no, "row key", fields[0])
-        col = _checked_key(role, line_no, "column key", fields[1])
-        try:
-            value = decode(fields[2])
-        except ValueError as exc:
-            raise ParseError(role, line_no, "value", str(exc)) from None
+        row = _field(role, line_no, "row key", check_key, fields[0])
+        col = _field(role, line_no, "column key", check_key, fields[1])
+        value = _field(role, line_no, "value", decode, fields[2])
         triples.append((row, col, value))
     return triples
 
@@ -100,22 +115,16 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
                 role, line_no, "line",
                 f"expected 3 to 5 tab-separated fields, got {len(fields)}",
             )
-        key = _checked_key(role, line_no, "edge key", fields[0])
-        src = _checked_key(role, line_no, "source vertex", fields[1])
-        dst = _checked_key(role, line_no, "target vertex", fields[2])
+        key = _field(role, line_no, "edge key", check_key, fields[0])
+        src = _field(role, line_no, "source vertex", check_key, fields[1])
+        dst = _field(role, line_no, "target vertex", check_key, fields[2])
         weights = []
         for label, raw in (("out_value", fields[3:4]), ("in_value", fields[4:5])):
-            if not raw:
-                weights.append(alg.one)
-                continue
-            try:
-                weights.append(alg.decode(raw[0]))
-            except ValueError as exc:
-                raise ParseError(role, line_no, label, str(exc)) from None
-        out_w, in_w = weights
-        for label, w in (("out_value", out_w), ("in_value", in_w)):
+            w = _field(role, line_no, label, alg.decode_op, raw[0]) if raw else alg.one
             if w == alg.zero:
                 raise ParseError(role, line_no, label, "zero weight is forbidden")
+            weights.append(w)
+        out_w, in_w = weights
         if key not in sources:
             order.append(key)
             sources[key] = {}
@@ -200,10 +209,7 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
         raise ParseError(role, line_no, "elements", "element list is empty")
     elements = []
     for i, name in enumerate(names):
-        try:
-            v = decode_any(name)
-        except ValueError as exc:
-            raise ParseError(role, line_no, f"element {i + 1}", str(exc)) from None
+        v = _field(role, line_no, f"element {i + 1}", decode_any, name)
         if encode_value(v) != name:
             raise ParseError(
                 role, line_no, f"element {i + 1}",

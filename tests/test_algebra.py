@@ -49,6 +49,26 @@ def test_family_parameter_validation():
         make_builtin("natural_arithmetic", levels=3)
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("max_min_chain", {}, "max_min_chain takes --levels, got none"),
+        ("powerset", {}, "powerset takes --universe, got none"),
+        ("natural_arithmetic", {"levels": 3}, "natural_arithmetic takes no parameters, got --levels"),
+        ("powerset", {"universe": ["x"], "levels": 2}, "got --levels, --universe"),
+    ],
+)
+def test_family_parameter_messages_name_the_flag(name, params, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make_builtin(name, **params)
+
+
+@pytest.mark.parametrize("universe", [["x y"], ["x", ""], ["{x}"], ["x", 1]])
+def test_powerset_rejects_bad_tokens_as_configuration(universe):
+    with pytest.raises(ConfigurationError, match="powerset universe"):
+        make_builtin("powerset", universe=universe)
+
+
 def test_identities_are_carrier_members(builtin):
     assert builtin.contains(builtin.zero)
     assert builtin.contains(builtin.one)
@@ -161,6 +181,15 @@ def test_max_plus_identities_coincide():
     assert mp.zero == mp.one == Value.number(0)
     assert mp.plus(Value.number(3), Value.number(-5)) == Value.number(3)
     assert mp.times(Value.number(3), Value.number(-5)) == Value.number(-2)
+
+
+def test_max_plus_plus_returns_an_operand():
+    mp = make_builtin("max_plus_realzero")
+    for a, b in [(3, -5), (-5, 3), (0, 0), (-2, -2), (7, 0)]:
+        va, vb = Value.number(a), Value.number(b)
+        got = mp.plus_op(va, vb)
+        assert got is va or got is vb
+        assert got == Value.number(max(a, b))
 
 
 def test_strings_order_by_lexicographic_payload():

@@ -171,6 +171,7 @@ def test_transpose_involution(triples):
 
     nat = make_builtin("natural_arithmetic")
     arr = from_triples(triples, nat)
+    check_invariants(transpose(arr), nat)
     assert transpose(transpose(arr)) == arr
     assert entries_of(transpose(arr)) == {
         (c, r): v for (r, c), v in entries_of(arr).items()

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocarray.algebra import make_builtin
 from assocarray.cli import main
@@ -304,6 +309,71 @@ def test_non_utf8_table_exits_2_with_line(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "line 6" in err and "UTF-8" in err
+
+
+def test_non_utf8_line_counts_every_line_break(capsys, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"k1\ta\tb\rk2\tb\tc\rk3\tc\t\xffd\r")
+    code, out, err = run(capsys, "adjacency", "--algebra", "natural", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert "line 3" in err and "UTF-8" in err
+
+
+def test_bad_universe_token_exits_2(capsys):
+    code, out, err = run(capsys, "validate", "--algebra", "powerset", "--universe", "x,{y}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: powerset universe: ")
+
+
+# Per command, whole files of its format (lawful and not) with at most one
+# fragment spliced in anywhere; st.binary() adds arbitrary bytes.
+CLI_CASES = {
+    "adjacency": (
+        ["adjacency", "--algebra", "natural", "--input"],
+        [b"k1\ta\tb\nk2\tb\tc\t2\t3\n", b"k1\ta\tb\t2\nk1\tc\tb\n"],
+    ),
+    "doc-adjacency": (
+        ["doc-adjacency", "--input"],
+        [b"d1\td1\t{x,y}\nd1\td2\t{y}\nd2\td2\t{y}\n", b"d1\td2\t{w}\nd3\td4\t{w}\n"],
+    ),
+    "validate": (
+        ["validate", "--algebra"],
+        [
+            b"elements: 0,1\nzero: 0\none: 1\nplus:\n0,1\n1,1\ntimes:\n0,0\n0,1\n",
+            b"elements: 0,1\nzero: 0\none: 1\nplus:\n0,1\n1,0\ntimes:\n0,0\n0,1\n",
+        ],
+    ),
+}
+cli_fragment_st = st.one_of(
+    st.sampled_from([b"\t", b"\n", b"\r", b"\x0b", b"\xe2\x80\xa8", b"\xff", b"\xc3", b"#", b",", b"0"]),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def spliced_st(draw, files):
+    data = draw(st.sampled_from(files))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(cli_fragment_st) + data[at + draw(st.integers(0, 2)):]
+    return data
+
+
+@pytest.mark.parametrize("command", CLI_CASES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_1_or_2_on_arbitrary_bytes(command, data):
+    argv, files = CLI_CASES[command]
+    raw = data.draw(st.one_of(spliced_st(files), st.binary(max_size=60)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, path])
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue().startswith("error: ")
 
 
 def test_usage_error_exits_2(capsys):

@@ -12,6 +12,7 @@ from assocarray.fileio import (
     parse_finite_algebra,
     parse_set_triples,
     parse_triples,
+    read_text,
     serialize_edge_list,
     serialize_finite_algebra,
     serialize_triples,
@@ -210,6 +211,47 @@ def test_parse_set_triples_is_universe_free():
         parse_set_triples("d1\td2\t5\n")
 
 
+# Valid triple lines with at most one junk line among them, joined by one of
+# several line breaks; st.text() adds arbitrary text.
+set_field_st = st.one_of(
+    st.sampled_from(["d1", "{x}", "{y,x}", "{x,x}", "{x,}", "x", "#", " ", ""]),
+    st.text(max_size=3),
+)
+set_line_st = st.tuples(
+    st.sampled_from(["d1", "d2", "d3"]),
+    st.sampled_from(["d1", "d2", "d3"]),
+    st.sampled_from(["{x}", "{y}", "{x,y}", "{}"]),
+).map("\t".join)
+
+
+@st.composite
+def set_lines_st(draw):
+    lines = draw(st.lists(set_line_st, max_size=5))
+    if draw(st.booleans()):
+        junk = draw(st.lists(set_field_st, min_size=2, max_size=4).map("\t".join))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return draw(st.sampled_from(["\n", "\r", "\r\n", "\x0c", "\u2029"])).join(lines)
+
+
+set_text_st = st.one_of(set_lines_st(), st.text(max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=set_text_st)
+def test_parse_set_triples_fails_on_a_line_or_round_trips(text):
+    try:
+        triples = parse_set_triples(text)
+    except ParseError as exc:
+        assert 1 <= exc.line_no <= len(text.splitlines()) + 1
+        return
+    tokens = sorted({t for _, _, v in triples for t in v.payload})
+    alg = make_builtin("powerset", universe=tokens)
+    arr = from_triples(triples, alg)
+    again = serialize_triples(arr)
+    assert from_triples(parse_set_triples(again), alg) == arr
+    assert serialize_triples(from_triples(parse_set_triples(again), alg)) == again
+
+
 BOOL_TEXT = """\
 elements: 0,1
 zero: 0
@@ -314,3 +356,61 @@ def test_fixture_algebras_parse(data_dir):
     for path in sorted(data_dir.glob("*.alg")):
         spec = parse_finite_algebra(path.read_text(encoding="utf-8"), role=str(path))
         from_finite_spec(spec, name=path.stem)
+
+
+# Tables over listed names, one of which may be junk, then at most one cell
+# replaced and at most one line dropped, doubled or preceded by a comment;
+# st.text() adds arbitrary text.
+alg_junk_st = st.one_of(
+    st.sampled_from(["0", "a", "{x}", "00", "2/4", " ", ""]), st.text(max_size=3)
+)
+
+
+@st.composite
+def alg_text_st(draw):
+    names = draw(st.lists(
+        st.sampled_from(["0", "1", "a", "{x}", "{}", "<TOP>"]), min_size=1, max_size=3, unique=True
+    ))
+    if draw(st.booleans()):
+        names[draw(st.integers(0, len(names) - 1))] = draw(alg_junk_st)
+    cell_st = st.sampled_from(names)
+
+    def rows():
+        return [",".join(draw(st.lists(cell_st, min_size=len(names), max_size=len(names))))
+                for _ in names]
+
+    lines = ["elements: " + ",".join(names)]
+    lines += [f"{which}: {draw(cell_st)}" for which in ("zero", "one")]
+    lines += ["plus:", *rows(), "times:", *rows()]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(alg_junk_st)
+        lines[i] = ",".join(cells)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = draw(st.sampled_from([[], [lines[i]] * 2, ["# note", lines[i]]]))
+    return draw(st.sampled_from(["\n", "\r", "\r\n", "\x1e", "\x85"])).join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(alg_text_st(), st.text(max_size=80)))
+def test_parse_finite_algebra_fails_on_a_line_or_round_trips(text):
+    try:
+        spec = parse_finite_algebra(text)
+    except ParseError as exc:
+        assert 1 <= exc.line_no <= len(text.splitlines()) + 1
+        return
+    again = serialize_finite_algebra(spec)
+    assert parse_finite_algebra(again) == spec
+    assert serialize_finite_algebra(parse_finite_algebra(again)) == again
+
+
+@pytest.mark.parametrize("brk", [b"\n", b"\r", b"\r\n", b"\x0b", "\u2028".encode()])
+def test_read_text_numbers_a_bad_byte_as_the_parsers_do(tmp_path, brk):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(brk.join([b"k1\ta\tb", b"k2\tb\tc", b"k3\tc\t\xffd", b""]))
+    with pytest.raises(ParseError) as exc_info:
+        read_text(str(path))
+    assert exc_info.value.line_no == 3
+    assert "not valid UTF-8" in exc_info.value.message
