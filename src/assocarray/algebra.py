@@ -432,16 +432,39 @@ def _powerset(universe: Sequence[str]) -> Algebra:
             chosen = [t for t in toks if rng.random() < 0.5]
             return Value(TOKENS, tuple(chosen))
 
+    # Union and intersection run on bitmasks over the sorted universe.  Each
+    # result set is built once and interned, so equal results are one Value.
+    # The tables belong to this algebra and grow only with the sets it sees.
+    zero = Value(TOKENS, ())
+    one = Value(TOKENS, tuple(toks))
+    bit = {t: 1 << i for i, t in enumerate(toks)}
+    full = (1 << len(toks)) - 1
+    masks: dict[object, int] = {zero.payload: 0, one.payload: full}
+    interned: dict[int, Value] = {full: one, 0: zero}  # over no tokens, full is 0: zero wins
+
+    def mask(v: Value) -> int:
+        m = masks.get(v.payload)
+        if m is None:
+            m = masks[v.payload] = sum(bit[t] for t in v.payload)
+        return m
+
+    def result(m: int) -> Value:
+        v = interned.get(m)
+        if v is None:
+            v = interned[m] = Value(TOKENS, tuple(t for t in toks if bit[t] & m))
+        return v
+
     def union(a: Value, b: Value) -> Value:
-        if not a.payload:
-            return b
-        if not b.payload:
-            return a
-        return Value(TOKENS, tuple(sorted(set(a.payload) | set(b.payload))))
+        try:
+            return interned[masks[a.payload] | masks[b.payload]]
+        except KeyError:  # an operand or the result not seen before
+            return result(mask(a) | mask(b))
 
     def intersection(a: Value, b: Value) -> Value:
-        common = set(a.payload) & set(b.payload)
-        return Value(TOKENS, tuple(sorted(common)))
+        try:
+            return interned[masks[a.payload] & masks[b.payload]]
+        except KeyError:
+            return result(mask(a) & mask(b))
 
     # {t0} and {t1} are disjoint: the pair the exhaustive search finds first,
     # and one a sampler over a large universe would almost never draw.
@@ -451,8 +474,8 @@ def _powerset(universe: Sequence[str]) -> Algebra:
 
     return Algebra(
         name=name,
-        zero=Value(TOKENS, ()),
-        one=Value(TOKENS, tuple(toks)),
+        zero=zero,
+        one=one,
         plus_op=union,
         times_op=intersection,
         contains_op=member,

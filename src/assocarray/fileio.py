@@ -101,6 +101,9 @@ def serialize_triples(arr: AssociativeArray) -> str:
 def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Graph:
     """Parse edges; omitted weights default to the algebra's one.
 
+    Where one equals zero, as in ``max_plus_realzero``, an omitted weight is
+    refused with its own message, since a zero weight is forbidden.
+
     Repeated edge keys accumulate sources and targets into one hyperedge.
     Re-stating an endpoint the edge already has is allowed only with the same
     weight: a conflict would mean silently discarding data.
@@ -122,7 +125,10 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
         for label, raw in (("out_value", fields[3:4]), ("in_value", fields[4:5])):
             w = _field(role, line_no, label, alg.decode_op, raw[0]) if raw else alg.one
             if w == alg.zero:
-                raise ParseError(role, line_no, label, "zero weight is forbidden")
+                raise ParseError(role, line_no, label, "zero weight is forbidden" if raw else (
+                    f"weight omitted, and its default one equals zero in {alg.name}; "
+                    "write the weight"
+                ))
             weights.append(w)
         out_w, in_w = weights
         if key not in sources:

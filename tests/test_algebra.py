@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocarray.algebra import (
     CHECK_CRITERION2,
@@ -11,6 +14,7 @@ from assocarray.algebra import (
     make_builtin,
 )
 from assocarray.errors import ConfigurationError, DomainError, ValidationError
+from assocarray.graph import document_adjacency, shared_words_array
 from assocarray.values import Value
 
 ALL_BUILTINS = [
@@ -174,6 +178,62 @@ def test_large_powerset_switches_to_sampling():
     rng = random.Random(0)
     v = ps.sample(rng)
     assert ps.contains(v)
+
+
+@pytest.mark.parametrize("n", [3, 14], ids=["enumerated", "sampled"])
+def test_powerset_public_ops_refuse_foreign_tokens(n):
+    # membership is checked before the operations look up any token
+    ps = make_builtin("powerset", universe=[f"t{i:02d}" for i in range(n)])
+    foreign = Value.tokens(["zz"])
+    with pytest.raises(DomainError):
+        ps.plus(foreign, ps.zero)
+    with pytest.raises(DomainError):
+        ps.times(ps.one, Value.tokens(["t00", "zz"]))
+
+
+def assert_interned(values):
+    """Every two equal values in ``values`` are one object."""
+    first = {}
+    for v in values:
+        assert first.setdefault(v, v) is v
+
+
+@st.composite
+def powerset_operands(draw):
+    universe = [f"t{i:02d}" for i in range(draw(st.integers(0, 20)))]
+    subset = st.lists(st.sampled_from(universe), unique=True) if universe else st.just([])
+    return universe, [Value.tokens(s) for s in draw(st.lists(subset, min_size=1, max_size=5))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(powerset_operands())
+def test_powerset_ops_are_union_and_intersection_of_interned_sets(drawn):
+    universe, values = drawn
+    ps = make_builtin("powerset", universe=universe)
+    other = make_builtin("powerset", universe=universe)
+    results = []
+    for a, b in itertools.product(values + [ps.zero, ps.one], repeat=2):
+        union, common = ps.plus_op(a, b), ps.times_op(a, b)
+        assert union == Value.tokens(set(a.payload) | set(b.payload))
+        assert common == Value.tokens(set(a.payload) & set(b.payload))
+        # another algebra over the same universe builds its own results
+        assert other.plus_op(a, b) is not union
+        assert other.times_op(a, b) is not common
+        results += [union, common]
+    assert_interned(results)
+
+
+def test_document_adjacency_values_are_interned():
+    rng = random.Random(10)
+    words = [f"w{k:03d}" for k in range(60)]
+    docs = {f"d{k:02d}": rng.sample(words, rng.randint(5, 12)) for k in range(30)}
+    E = shared_words_array(docs)
+    alg = make_builtin("powerset", universe=sorted(set().union(*docs.values())))
+    first, again = document_adjacency(E, alg), document_adjacency(E, alg)
+    assert first == again
+    stored = [v for _, _, v in first]
+    assert len(set(stored)) < len(stored)
+    assert_interned(stored + [v for _, _, v in again])
 
 
 def test_max_plus_identities_coincide():

@@ -45,8 +45,9 @@ nat_triples_st = st.lists(
 extra_keys_st = st.lists(st.sampled_from(["a", "c", "f", "g"]), max_size=3)
 
 # The product must match the dense definition (``-full``) on every lawless
-# fixture and every certified algebra; on the certified ones, where zero is
-# inert, it must also match the stored-pairs fold (``-skip``).
+# fixture, every certified algebra and two powersets; on the certified ones
+# and the powersets, where zero is inert, it must also match the stored-pairs
+# fold (``-skip``).  ``powerset3`` is enumerated, ``powerset14`` is sampled.
 # ``random_table`` draws 2-4 element tables with arbitrary cells, so
 # times(0, 0) != 0 and runs of plus(acc, times(0, 0)) with transients and
 # cycles of any period all occur; ``integer_ring_offset`` (times = a*b + 1)
@@ -65,8 +66,9 @@ CERTIFIED = (
     "max_min_chain",
     "max_min_strings",
 )
+POWERSETS = ("powerset3", "powerset14")
 DIFFERENTIAL_CASES = [(name, "full") for name in LAWLESS] + [
-    (name, reference) for name in CERTIFIED for reference in ("full", "skip")
+    (name, reference) for name in CERTIFIED + POWERSETS for reference in ("full", "skip")
 ]
 
 
@@ -91,6 +93,9 @@ def differential_algebra(name):
         return load_algebra_file(name.removesuffix(".alg"))
     if name == "max_min_chain":
         return make_builtin(name, levels=3)
+    if name in POWERSETS:
+        n = int(name.removeprefix("powerset"))
+        return make_builtin("powerset", universe=[f"t{i:02d}" for i in range(n)])
     if name == "integer_ring_offset":
         return dataclasses.replace(
             make_builtin("integer_ring"),

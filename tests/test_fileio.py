@@ -139,6 +139,22 @@ def test_parse_edge_list_rejects_zero_weight(naturals):
 
 
 @pytest.mark.parametrize(
+    "alg",
+    [make_builtin("max_plus_realzero"), make_builtin("powerset", universe=[])],
+    ids=["max_plus_realzero", "empty-powerset"],
+)
+def test_parse_edge_list_refuses_an_omitted_weight_where_one_is_zero(alg):
+    # the default weight is one, which equals zero here; the file wrote no zero
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list("# header\nk1\ta\tb\n", alg)
+    err = exc_info.value
+    assert (err.line_no, err.field) == (2, "out_value")
+    assert "zero weight is forbidden" not in err.message
+    assert "omitted" in err.message and "write the weight" in err.message
+    assert alg.name in err.message
+
+
+@pytest.mark.parametrize(
     "weights", ["007", "2\t-0", "4/2"], ids=["out-007", "in--0", "out-4/2"]
 )
 def test_parse_edge_list_rejects_non_canonical_numbers(integers, weights):
