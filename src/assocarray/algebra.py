@@ -50,6 +50,9 @@ _MAX_CHAIN_LEVELS = 2**_POWERSET_ENUMERATION_LIMIT
 
 _ALNUM_RE = re.compile(r"[A-Za-z0-9]*")
 
+_Op = Callable[[Value, Value], Value]
+_Member = Callable[[Value], bool]
+
 
 @dataclass(frozen=True)
 class Algebra:
@@ -201,34 +204,56 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
 # --- builtin families -------------------------------------------------------
 
 
-def _num(v: Value) -> int | Fraction:
-    return v.payload  # type: ignore[return-value]
+# The operations the families are built from, each written once.  A sum or
+# product goes through Value.number, which makes a whole rational an int;
+# max and min return an operand and build no value.
+def _add(a: Value, b: Value) -> Value:
+    return Value.number(a.payload + b.payload)  # type: ignore[operator]
 
 
-def _decode_numeric(alg_name: str, membership: Callable[[Value], bool]) -> Callable[[str], Value]:
+def _mul(a: Value, b: Value) -> Value:
+    return Value.number(a.payload * b.payload)  # type: ignore[operator]
+
+
+def _max(a: Value, b: Value) -> Value:
+    return a if a.payload >= b.payload else b  # type: ignore[operator]
+
+
+def _min(a: Value, b: Value) -> Value:
+    return a if a.payload <= b.payload else b  # type: ignore[operator]
+
+
+def _decoder(parse: Callable[[str], Value], member: _Member, reason: str) -> Callable[[str], Value]:
+    """A ``decode_op`` that parses, then refuses a non-member as ``'text' reason``."""
+
     def decode_op(text: str) -> Value:
-        v = parse_number(text)
-        if not membership(v):
-            raise ValueError(f"{text!r} is not in the carrier of {alg_name}")
+        v = parse(text)
+        if not member(v):
+            raise ValueError(f"{text!r} {reason}")
         return v
 
     return decode_op
 
 
-def _natural() -> Algebra:
-    def member(v: Value) -> bool:
-        return v.kind == NUMBER and isinstance(v.payload, int) and v.payload >= 0
+def _is_int(v: Value) -> bool:
+    return v.kind == NUMBER and isinstance(v.payload, int)
 
-    name = "natural_arithmetic"
+
+def _numbers(name: str, member: _Member, one: int, ops: tuple[_Op, _Op], draw, **laws) -> Algebra:
+    """A number family: zero 0, number-literal text, ``draw`` lifted to a sampler."""
     return Algebra(
-        name=name,
-        zero=Value.number(0),
-        one=Value.number(1),
-        plus_op=lambda a, b: Value.number(_num(a) + _num(b)),
-        times_op=lambda a, b: Value.number(_num(a) * _num(b)),
-        contains_op=member,
-        decode_op=_decode_numeric(name, member),
-        sample_op=lambda rng: Value.number(rng.randint(0, 20)),
+        name=name, zero=Value.number(0), one=Value.number(one),
+        plus_op=ops[0], times_op=ops[1], contains_op=member,
+        decode_op=_decoder(parse_number, member, f"is not in the carrier of {name}"),
+        sample_op=lambda rng: Value.number(draw(rng)),
+        **laws,
+    )
+
+
+def _natural() -> Algebra:
+    return _numbers(
+        "natural_arithmetic", lambda v: _is_int(v) and v.payload >= 0,
+        one=1, ops=(_add, _mul), draw=lambda rng: rng.randint(0, 20),
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
             CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
@@ -239,19 +264,9 @@ def _natural() -> Algebra:
 
 
 def _nonneg_rational() -> Algebra:
-    def member(v: Value) -> bool:
-        return v.kind == NUMBER and v.payload >= 0
-
-    name = "nonneg_rational_arithmetic"
-    return Algebra(
-        name=name,
-        zero=Value.number(0),
-        one=Value.number(1),
-        plus_op=lambda a, b: Value.number(Fraction(_num(a)) + Fraction(_num(b))),
-        times_op=lambda a, b: Value.number(Fraction(_num(a)) * Fraction(_num(b))),
-        contains_op=member,
-        decode_op=_decode_numeric(name, member),
-        sample_op=lambda rng: Value.number(Fraction(rng.randint(0, 10), rng.randint(1, 10))),
+    return _numbers(
+        "nonneg_rational_arithmetic", lambda v: v.kind == NUMBER and v.payload >= 0,
+        one=1, ops=(_add, _mul), draw=lambda rng: Fraction(rng.randint(0, 10), rng.randint(1, 10)),
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
             CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
@@ -262,19 +277,9 @@ def _nonneg_rational() -> Algebra:
 
 
 def _integer_ring() -> Algebra:
-    def member(v: Value) -> bool:
-        return v.kind == NUMBER and isinstance(v.payload, int)
-
-    name = "integer_ring"
-    return Algebra(
-        name=name,
-        zero=Value.number(0),
-        one=Value.number(1),
-        plus_op=lambda a, b: Value.number(_num(a) + _num(b)),
-        times_op=lambda a, b: Value.number(_num(a) * _num(b)),
-        contains_op=member,
-        decode_op=_decode_numeric(name, member),
-        sample_op=lambda rng: Value.number(rng.randint(-10, 10)),
+    return _numbers(
+        "integer_ring", _is_int,
+        one=1, ops=(_add, _mul), draw=lambda rng: rng.randint(-10, 10),
         known_failures={CHECK_CRITERION1: (Value.number(1), Value.number(-1))},
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
@@ -292,20 +297,9 @@ def _max_plus_realzero() -> Algebra:
     combining, the zero-product property, and annihilation; the designated
     one is 0 as well, since adding 0 is the true scaling identity.
     """
-
-    def member(v: Value) -> bool:
-        return v.kind == NUMBER and isinstance(v.payload, int)
-
-    name = "max_plus_realzero"
-    return Algebra(
-        name=name,
-        zero=Value.number(0),
-        one=Value.number(0),
-        plus_op=lambda a, b: a if _num(a) >= _num(b) else b,
-        times_op=lambda a, b: Value.number(_num(a) + _num(b)),
-        contains_op=member,
-        decode_op=_decode_numeric(name, member),
-        sample_op=lambda rng: Value.number(rng.randint(-10, 10)),
+    return _numbers(
+        "max_plus_realzero", _is_int,
+        one=0, ops=(_max, _add), draw=lambda rng: rng.randint(-10, 10),
         known_failures={
             CHECK_IDENTITY: (Value.number(-1),),
             CHECK_CRITERION2: (Value.number(5), Value.number(-5)),
@@ -323,23 +317,16 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
             f"max_min_chain level count {levels} exceeds the limit of {_MAX_CHAIN_LEVELS}"
         )
     carrier = tuple(Value.number(i) for i in range(levels))
-    members = set(carrier)
+    member = set(carrier).__contains__
     name = name or f"max_min_chain({levels})"
-
-    def decode_op(text: str) -> Value:
-        v = parse_number(text)
-        if v not in members:
-            raise ValueError(f"{text!r} is not a level of {name}")
-        return v
-
     return Algebra(
         name=name,
         zero=carrier[0],
         one=carrier[-1],
-        plus_op=lambda a, b: a if _num(a) >= _num(b) else b,
-        times_op=lambda a, b: a if _num(a) <= _num(b) else b,
-        contains_op=lambda v: v in members,
-        decode_op=decode_op,
+        plus_op=_max,
+        times_op=_min,
+        contains_op=member,
+        decode_op=_decoder(parse_number, member, f"is not a level of {name}"),
         carrier=carrier,
         proved=frozenset({
             CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
@@ -364,14 +351,6 @@ def _max_min_strings() -> Algebra:
             return False
         return v.payload == TOP_PAYLOAD or bool(_ALNUM_RE.fullmatch(v.payload))
 
-    def decode_op(text: str) -> Value:
-        # digit-only names stay strings here, so no decode_any dispatch
-        if text == TOP_ENCODING:
-            return top
-        if not _ALNUM_RE.fullmatch(text):
-            raise ValueError(f"{text!r} is not an alphanumeric string value")
-        return Value(TEXT, text)
-
     def sample_op(rng: random.Random) -> Value:
         r = rng.random()
         if r < 0.05:
@@ -385,10 +364,16 @@ def _max_min_strings() -> Algebra:
         name="max_min_strings",
         zero=Value(TEXT, ""),
         one=top,
-        plus_op=lambda a, b: a if a.payload >= b.payload else b,  # type: ignore[operator]
-        times_op=lambda a, b: a if a.payload <= b.payload else b,  # type: ignore[operator]
+        plus_op=_max,
+        times_op=_min,
         contains_op=member,
-        decode_op=decode_op,
+        decode_op=_decoder(
+            # digit-only names stay strings here, so no decode_any dispatch
+            lambda text: top if text == TOP_ENCODING else Value(TEXT, text),
+            # top by identity: a literal U+FFFF in the text is not <TOP>
+            lambda v: v is top or bool(_ALNUM_RE.fullmatch(v.payload)),
+            "is not an alphanumeric string value",
+        ),
         sample_op=sample_op,
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
@@ -411,12 +396,6 @@ def _powerset(universe: Sequence[str]) -> Algebra:
 
     def member(v: Value) -> bool:
         return v.kind == TOKENS and set(v.payload) <= universe_set
-
-    def decode_op(text: str) -> Value:
-        v = parse_token_set(text)
-        if not member(v):
-            raise ValueError(f"{text!r} has tokens outside the universe of {name}")
-        return v
 
     carrier: tuple[Value, ...] | None = None
     sample_op = None
@@ -479,7 +458,7 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         plus_op=union,
         times_op=intersection,
         contains_op=member,
-        decode_op=decode_op,
+        decode_op=_decoder(parse_token_set, member, f"has tokens outside the universe of {name}"),
         carrier=carrier,
         sample_op=sample_op,
         known_failures=known_failures,

@@ -250,6 +250,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Data is UTF-8 on stdout as in --output files, whatever the locale says.
+    # stdout is None when started without one; --output still works then.
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

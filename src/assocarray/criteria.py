@@ -257,11 +257,18 @@ def witness_annihilator(v: Value, alg: Algebra) -> WitnessCase:
     With zero failing to annihilate, the product of v with the unstored zero
     against b is nonzero, inventing an adjacency between a and the isolated
     vertex: (a, b) when right multiplication by zero misbehaves, (b, a) when
-    left multiplication does.
+    left multiplication does.  A zero v cannot weight an edge: the loop then
+    carries one, and b is both an extra source and an extra target, so that
+    (b, b) folds zero times zero.
     """
-    if v == alg.zero:
-        raise PreconditionError("witness value must be nonzero")
     _require_violation(alg, CHECK_CRITERION3, (v,))
+    zero_v = v == alg.zero
+    weights = ""
+    if zero_v:
+        if alg.one == alg.zero:
+            raise PreconditionError("construction needs a nonzero one for the self-loop weights")
+        v = alg.one
+        weights = f" with weights {encode_value(v)}"
     right_fail = alg.times_op(v, alg.zero) != alg.zero
     left_fail = alg.times_op(alg.zero, v) != alg.zero
     sides = []
@@ -269,14 +276,16 @@ def witness_annihilator(v: Value, alg: Algebra) -> WitnessCase:
         sides.append(f"{encode_value(v)} times 0 is nonzero, inventing (a, b)")
     if left_fail:
         sides.append(f"0 times {encode_value(v)} is nonzero, inventing (b, a)")
+    if zero_v:
+        sides.append("0 times 0 is nonzero, inventing (b, b)")
     graph = (EdgeRecord("k", sources={"a": v}, targets={"a": v}),)
     return WitnessCase(
         criterion=3,
         graph=graph,
         expected_oracle=frozenset({("a", "a")}),
-        description="self-loop k at a beside isolated vertex b; " + "; ".join(sides),
-        extra_source_vertices=("b",) if left_fail else (),
-        extra_target_vertices=("b",) if right_fail else (),
+        description=f"self-loop k at a{weights} beside isolated vertex b; " + "; ".join(sides),
+        extra_source_vertices=("b",) if left_fail or zero_v else (),
+        extra_target_vertices=("b",) if right_fail or zero_v else (),
     )
 
 

@@ -20,10 +20,6 @@ class ValidationError(AssocArrayError):
 class PreconditionError(AssocArrayError):
     """A caller-supplied value does not satisfy an operation's stated precondition."""
 
-    def __init__(self, message, violation=None):
-        super().__init__(message)
-        self.violation = violation
-
 
 class InternalConsistencyError(AssocArrayError):
     """A cross-check that can only fail on an implementation bug failed."""

@@ -217,23 +217,25 @@ def check_word_consistency(E: AssociativeArray) -> WordOverlapViolation | None:
     have this shape automatically, hand-written ones may not.  Returns None
     when consistent, else the violation earliest in coordinate order.
     """
-    occurrences: dict[str, set[tuple[str, str]]] = {}
+    # The answer for one word is fixed by its row -> column sets: i is the
+    # first row lacking one of the word's columns, j that row's first column,
+    # and (m, n) the first coordinate whose column is absent from row i.
+    rows_of: dict[str, dict[str, set[str]]] = {}
     for r, c, v in E:
         if v.kind != TOKENS:
             raise DomainError(f"entry ({r}, {c}) holds {encode_value(v)}, not a token set")
         for word in v.payload:
-            occurrences.setdefault(word, set()).add((r, c))
-    earliest = min(
-        (
-            (i, j, m, n, word)
-            for word, coords in occurrences.items()
-            if len(coords) != len({r for r, _ in coords}) * len({c for _, c in coords})
-            for (i, j) in coords
-            for (m, n) in coords
-            if (i, n) not in coords
-        ),
-        default=None,
-    )
+            rows_of.setdefault(word, {}).setdefault(r, set()).add(c)
+    found = []
+    for word, rows in rows_of.items():
+        width = len(set().union(*rows.values()))
+        short = [r for r, cols in rows.items() if len(cols) != width]
+        if short:
+            i = min(short)
+            row_i = rows[i]
+            m = min(r for r, cols in rows.items() if not cols <= row_i)
+            found.append((i, min(row_i), m, min(rows[m] - row_i), word))
+    earliest = min(found, default=None)
     return None if earliest is None else WordOverlapViolation(*earliest)
 
 
@@ -242,7 +244,7 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
 
     Entry (i, j) is the union over documents k of E(k, i) & E(k, j): the words
     i and j share, as witnessed through some row.  Requires word consistency;
-    an inconsistent array raises a precondition error carrying the violation.
+    an inconsistent array raises a precondition error naming the violation.
     Works although intersection can turn two nonempty sets into the empty set,
     which is exactly the structural loophole the consistency check closes.
     ``alg`` is the powerset algebra E was built over.
@@ -252,8 +254,7 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
         raise PreconditionError(
             f"word {violation.word!r} appears at ({violation.row_a}, {violation.col_a}) "
             f"and ({violation.row_b}, {violation.col_b}) but not at "
-            f"({violation.row_a}, {violation.col_b})",
-            violation=violation,
+            f"({violation.row_a}, {violation.col_b})"
         )
     return matmul(transpose(E), E, alg)
 

@@ -196,6 +196,45 @@ def test_witness_criterion_3_from_table_file(capsys, data_dir, golden_dir):
     assert out == (golden_dir / "witness3_annihilator.txt").read_text()
 
 
+def two_element_table(tmp_path, times, one="1", plus="0,1\n1,1"):
+    """A table over {0, 1} with zero 0; plus defaults to or."""
+    path = tmp_path / "two.alg"
+    path.write_text(
+        f"elements: 0,1\nzero: 0\none: {one}\nplus:\n{plus}\ntimes:\n{times}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+# 0 times 0 is 1 in both; in the first, 0 times 1 is 1 as well.
+@pytest.mark.parametrize("times", ["1,1\n0,1", "1,0\n0,1"])
+def test_witness_criterion_3_from_a_zero_witness(capsys, tmp_path, times):
+    alg = two_element_table(tmp_path, times)
+    _, out, _ = run(capsys, "validate", "--algebra", alg)
+    assert "criterion3\tfail\t0\n" in out
+    code, out, err = run(capsys, "witness", "3", "--algebra", alg)
+    assert code == 0
+    assert out.startswith("# witness-edges\nk\ta\ta\t1\t1\n")
+    assert "spurious\tb\tb\t1\n" in out
+    assert err.startswith("self-loop k at a with weights 1 beside isolated vertex b; ")
+    assert err.endswith("0 times 0 is nonzero, inventing (b, b)\n")
+
+
+def test_witness_criterion_3_zero_witness_needs_a_nonzero_one(capsys, tmp_path):
+    alg = two_element_table(tmp_path, "1,0\n0,1", one="0")
+    code, out, err = run(capsys, "witness", "3", "--algebra", alg)
+    assert (code, out) == (1, "")
+    assert err == "construction needs a nonzero one for the self-loop weights\n"
+
+
+def test_witness_criterion_1_needs_a_nonzero_one(capsys, tmp_path):
+    # 1 plus 1 is 0, and one is zero: no nonzero in-weight exists.
+    alg = two_element_table(tmp_path, "0,0\n0,1", one="0", plus="0,1\n1,0")
+    code, out, err = run(capsys, "witness", "1", "--algebra", alg)
+    assert (code, out) == (1, "")
+    assert err == "construction needs a nonzero one for the in-weights\n"
+
+
 def test_witness_refused_when_criterion_passes(capsys):
     code, out, err = run(capsys, "witness", "1", "--algebra", "natural")
     assert code == 1
@@ -418,17 +457,48 @@ def test_seed_flag_accepted(capsys):
     assert code == 0
 
 
+def module_env(**extra):
+    pythonpath = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath)), **extra}
+
+
+def run_module(module, *argv, **env):
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, env=module_env(**env),
+        timeout=60,
+    )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
+def test_runs_without_a_stdout_when_writing_to_a_file(tmp_path):
+    out = tmp_path / "report.tsv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "assocarray", "validate", "--algebra", "natural",
+         "--output", str(out)],
+        stderr=subprocess.PIPE, env=module_env(), timeout=60,
+        preexec_fn=lambda: os.close(1),  # the interpreter starts with sys.stdout None
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8").endswith("certified\ttrue\n")
+
+
 @pytest.mark.parametrize("module", ["assocarray", "assocarray.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    pythonpath = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "validate", "--algebra", "nosuch"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_module(module, "validate", "--algebra", "nosuch")
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert proc.stdout == ""
+    assert proc.stderr.startswith(b"error: ")
+    assert proc.stdout == b""
+
+
+def test_stdout_is_utf8_whatever_the_locale_encoding(tmp_path):
+    edges = tmp_path / "cjk.edges"
+    edges.write_text("k1\t\u4e2d\tb\n", encoding="utf-8")
+    proc = run_module(
+        "assocarray", "adjacency", "--algebra", "natural", "--input", str(edges),
+        PYTHONIOENCODING="ascii",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\u4e2d\tb\t1\n".encode("utf-8")
 
 
 # --- README examples ----------------------------------------------------------

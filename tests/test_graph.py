@@ -1,7 +1,10 @@
 import random
+import time
 
 import pytest
 from conftest import DATA_DIR, load_algebra_file
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocarray.algebra import Algebra, make_builtin
 from assocarray.array import check_invariants, empty, from_triples, support, to_triples
@@ -21,7 +24,7 @@ from assocarray.graph import (
     reverse_adjacency,
     shared_words_array,
 )
-from assocarray.values import Value
+from assocarray.values import TOKENS, Value, encode_value
 
 ONE = Value.number(1)
 
@@ -221,6 +224,81 @@ def test_word_consistency_rejects_non_set_values(naturals):
         check_word_consistency(E)
 
 
+def brute_force_word_consistency(E):
+    """The rectangle property by definition: the least (i, j, m, n, word)
+    over every pair of a word's coordinates, quadratic in its entries."""
+    occurrences = {}
+    for r, c, v in E:
+        if v.kind != TOKENS:
+            raise DomainError(f"entry ({r}, {c}) holds {encode_value(v)}, not a token set")
+        for word in v.payload:
+            occurrences.setdefault(word, set()).add((r, c))
+    earliest = min(
+        (
+            (i, j, m, n, word)
+            for word, coords in occurrences.items()
+            if len(coords) != len({r for r, _ in coords}) * len({c for _, c in coords})
+            for (i, j) in coords
+            for (m, n) in coords
+            if (i, n) not in coords
+        ),
+        default=None,
+    )
+    return None if earliest is None else WordOverlapViolation(*earliest)
+
+
+# Holds token sets and numbers alike, so a non-set entry can sit in a corpus.
+ANY_VALUE = Algebra(
+    name="any",
+    zero=Value.tokens([]),
+    one=Value.tokens([]),
+    plus_op=lambda a, b: a,
+    times_op=lambda a, b: a,
+    contains_op=lambda v: True,
+    decode_op=Value.text,
+)
+
+
+def outcome(check, E):
+    try:
+        return check(E)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_word_consistency_matches_brute_force(data):
+    words = st.sampled_from("wxyz")
+    docs = data.draw(st.dictionaries(
+        st.sampled_from(["d1", "d2", "d3", "d4", "d5"]), st.sets(words, max_size=3),
+        min_size=1, max_size=5,
+    ))
+    entries = {(i, j): set(docs[i] & docs[j]) for i in docs for j in docs}
+    # A hand perturbation toggles a word at a coordinate.
+    for _ in range(data.draw(st.integers(0, 6))):
+        entries[data.draw(st.sampled_from(sorted(entries)))] ^= {data.draw(words)}
+    values = {coord: Value.tokens(ws) for coord, ws in entries.items()}
+    if data.draw(st.integers(0, 4)) == 0:
+        values[data.draw(st.sampled_from(sorted(values)))] = Value.number(7)
+    E = from_triples([(i, j, v) for (i, j), v in values.items()], ANY_VALUE)
+    assert outcome(check_word_consistency, E) == outcome(brute_force_word_consistency, E)
+
+
+def test_word_consistency_is_fast_on_one_shared_word():
+    # One word in all 200 x 200 entries but one: 39,999 coordinates, which the
+    # pairwise definition would compare about 1.6 billion times.
+    docs = [f"d{i:03d}" for i in range(200)]
+    w = Value.tokens(["w"])
+    E = from_triples(
+        [(i, j, w) for i in docs for j in docs if (i, j) != ("d000", "d001")], ANY_VALUE
+    )
+    start = time.perf_counter()
+    violation = check_word_consistency(E)
+    assert time.perf_counter() - start < 10
+    assert violation == WordOverlapViolation("d000", "d000", "d001", "d001", "w")
+
+
 def test_document_adjacency_worked_example():
     alg = make_builtin("powerset", universe=["apple", "pear", "plum"])
     D = document_adjacency(shared_words_array(DOCS), alg)
@@ -249,7 +327,7 @@ def test_document_adjacency_rejects_inconsistent_input(powerset_xy):
     E = from_triples([("d1", "d2", w), ("d3", "d4", w)], powerset_xy)
     with pytest.raises(PreconditionError) as exc_info:
         document_adjacency(E, powerset_xy)
-    assert exc_info.value.violation == WordOverlapViolation("d1", "d2", "d3", "d4", "x")
+    assert str(exc_info.value) == "word 'x' appears at (d1, d2) and (d3, d4) but not at (d1, d4)"
 
 
 # --- transpose identity ------------------------------------------------------
