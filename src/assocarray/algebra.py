@@ -430,7 +430,14 @@ def _powerset(universe: Sequence[str]) -> Algebra:
     def result(m: int) -> Value:
         v = interned.get(m)
         if v is None:
-            v = interned[m] = Value(TOKENS, tuple(t for t in toks if bit[t] & m))
+            # walk the set bits lowest first, so the tokens come out sorted
+            members = []
+            rest = m
+            while rest:
+                low = rest & -rest
+                members.append(toks[low.bit_length() - 1])
+                rest ^= low
+            v = interned[m] = Value(TOKENS, tuple(members))
         return v
 
     def union(a: Value, b: Value) -> Value:

@@ -250,10 +250,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    # Data is UTF-8 on stdout as in --output files, whatever the locale says.
-    # stdout is None when started without one; --output still works then.
+    # Data is UTF-8 on stdout as in --output files, whatever the locale says,
+    # and so are messages.  A file name whose bytes are not UTF-8 reaches a
+    # message as a lone surrogate, which backslashreplace shows escaped.
+    # Either stream is None when started without it; --output still works then.
     if sys.stdout is not None:
         sys.stdout.reconfigure(encoding="utf-8")
+    if sys.stderr is not None:
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(main())
 
 

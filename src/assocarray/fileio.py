@@ -108,7 +108,6 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
     Re-stating an endpoint the edge already has is allowed only with the same
     weight: a conflict would mean silently discarding data.
     """
-    order: list[str] = []
     sources: dict[str, dict[str, Value]] = {}
     targets: dict[str, dict[str, Value]] = {}
     for line_no, line in _logical_lines(text):
@@ -131,13 +130,9 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
                 ))
             weights.append(w)
         out_w, in_w = weights
-        if key not in sources:
-            order.append(key)
-            sources[key] = {}
-            targets[key] = {}
         for side, vertex, w, label in (
-            (sources[key], src, out_w, "source"),
-            (targets[key], dst, in_w, "target"),
+            (sources.setdefault(key, {}), src, out_w, "source"),
+            (targets.setdefault(key, {}), dst, in_w, "target"),
         ):
             if vertex in side and side[vertex] != w:
                 raise ParseError(
@@ -145,9 +140,7 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
                     f"conflicting weights {encode_value(side[vertex])} and {encode_value(w)}",
                 )
             side[vertex] = w
-    return tuple(
-        EdgeRecord(key=k, sources=sources[k], targets=targets[k]) for k in order
-    )
+    return tuple(EdgeRecord(key=k, sources=side, targets=targets[k]) for k, side in sources.items())
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -164,21 +157,17 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def _split_top_level_commas(text: str) -> list[str]:
-    # commas inside {...} belong to token-set encodings, not the list
+    # commas inside {...} belong to token-set encodings, not the list: a piece
+    # joins the part before it while the brace depth of all text before it is
+    # nonzero, unbalanced braces included
     parts: list[str] = []
     depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        current.append(ch)
-    parts.append("".join(current))
+    for piece in text.split(","):
+        if depth:
+            parts[-1] += "," + piece
+        else:
+            parts.append(piece)
+        depth += piece.count("{") - piece.count("}")
     return parts
 
 
@@ -213,15 +202,10 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
     names = [p.strip() for p in _split_top_level_commas(raw_elements)]
     if names == [""]:
         raise ParseError(role, line_no, "elements", "element list is empty")
-    elements = []
-    for i, name in enumerate(names):
-        v = _field(role, line_no, f"element {i + 1}", decode_any, name)
-        if encode_value(v) != name:
-            raise ParseError(
-                role, line_no, f"element {i + 1}",
-                f"{name!r} is not canonical; write it as {encode_value(v)!r}",
-            )
-        elements.append(v)
+    elements = [
+        _field(role, line_no, f"element {i + 1}", decode_any, name)
+        for i, name in enumerate(names)
+    ]
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(elements):
         raise ParseError(role, line_no, "elements", "duplicate element names")
@@ -248,15 +232,14 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
                     role, r_line, f"{which} row {i + 1}",
                     f"expected {n} entries, got {len(cells)}",
                 )
-            row = []
-            for j, cell in enumerate(cells):
-                if cell not in index:
-                    raise ParseError(
-                        role, r_line, f"{which} cell ({i + 1}, {j + 1})",
-                        f"{cell!r} is not a listed element",
-                    )
-                row.append(index[cell])
-            rows.append(tuple(row))
+            row = tuple(map(index.get, cells))
+            if None in row:
+                j = row.index(None)
+                raise ParseError(
+                    role, r_line, f"{which} cell ({i + 1}, {j + 1})",
+                    f"{cells[j]!r} is not a listed element",
+                )
+            rows.append(row)
         tables[which] = tuple(rows)
 
     if pos < len(lines):

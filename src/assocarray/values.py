@@ -129,14 +129,16 @@ def parse_token_set(text: str) -> Value:
 
 
 def decode_any(text: str) -> Value:
-    """Decode a value of any kind by surface syntax.
+    """Decode a value of any kind by surface syntax; only canonical text decodes.
 
     Sets win over numbers over bare strings; ``<TOP>`` names the string-carrier
-    top element.  This is the decoder for finite algebra element names, where
-    the carrier kind is not known up front.
+    top element, and its payload written literally is refused.  This is the
+    decoder for finite algebra element names, where the carrier kind is not known.
     """
     if text == TOP_ENCODING:
         return Value(TEXT, TOP_PAYLOAD)
+    if text == TOP_PAYLOAD:
+        raise ValueError(f"{text!r} is not canonical; write it as {TOP_ENCODING!r}")
     if text.startswith("{"):
         return parse_token_set(text)
     if _NUMBER_FORM.fullmatch(text):

@@ -200,7 +200,8 @@ def assert_interned(values):
 
 @st.composite
 def powerset_operands(draw):
-    universe = [f"t{i:02d}" for i in range(draw(st.integers(0, 20)))]
+    # 100 tokens puts set bits past the 20 an enumerated carrier reaches
+    universe = [f"t{i:02d}" for i in range(draw(st.integers(0, 20) | st.just(100)))]
     subset = st.lists(st.sampled_from(universe), unique=True) if universe else st.just([])
     return universe, [Value.tokens(s) for s in draw(st.lists(subset, min_size=1, max_size=5))]
 

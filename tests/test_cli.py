@@ -501,6 +501,27 @@ def test_stdout_is_utf8_whatever_the_locale_encoding(tmp_path):
     assert proc.stdout == "\u4e2d\tb\t1\n".encode("utf-8")
 
 
+def test_stderr_is_utf8_whatever_the_locale_encoding(tmp_path):
+    edges = tmp_path / "\u4e2d.edges"
+    edges.write_text("k1\ta\n", encoding="utf-8")
+    proc = run_module(
+        "assocarray", "adjacency", "--algebra", "natural", "--input", str(edges),
+        PYTHONIOENCODING="ascii",
+    )
+    assert proc.returncode == 2
+    assert "\u4e2d.edges, line 1, line: expected 3 to 5".encode("utf-8") in proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs a file name that is not UTF-8")
+def test_a_file_name_that_is_not_utf8_is_shown_escaped(tmp_path):
+    edges = tmp_path / os.fsdecode(b"\xff.edges")
+    edges.write_text("k1\ta\n", encoding="utf-8")
+    proc = run_module("assocarray", "adjacency", "--algebra", "natural", "--input", str(edges))
+    assert proc.returncode == 2
+    assert b"\\udcff.edges, line 1" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 # --- README examples ----------------------------------------------------------
 
 README = (REPO_DIR / "README.md").read_text(encoding="utf-8")

@@ -8,6 +8,7 @@ from assocarray.algebra import from_finite_spec, make_builtin
 from assocarray.array import from_triples, to_triples
 from assocarray.fileio import (
     ParseError,
+    _split_top_level_commas,
     parse_edge_list,
     parse_finite_algebra,
     parse_set_triples,
@@ -289,29 +290,64 @@ def test_parse_finite_algebra_boolean_table():
     assert alg.times(zero, one) == zero
 
 
+POWERSET_TEXT = (
+    "elements: {},{x},{x,y},{y}\n"
+    "zero: {}\n"
+    "one: {x,y}\n"
+    "plus:\n"
+    "{},{x},{x,y},{y}\n"
+    "{x},{x},{x,y},{x,y}\n"
+    "{x,y},{x,y},{x,y},{x,y}\n"
+    "{y},{x,y},{x,y},{y}\n"
+    "times:\n"
+    "{},{},{},{}\n"
+    "{},{x},{x},{}\n"
+    "{},{x},{x,y},{y}\n"
+    "{},{},{y},{y}\n"
+)
+
+
 def test_parse_finite_algebra_brace_aware_commas():
-    text = (
-        "elements: {},{x},{x,y},{y}\n"
-        "zero: {}\n"
-        "one: {x,y}\n"
-        "plus:\n"
-        "{},{x},{x,y},{y}\n"
-        "{x},{x},{x,y},{x,y}\n"
-        "{x,y},{x,y},{x,y},{x,y}\n"
-        "{y},{x,y},{x,y},{y}\n"
-        "times:\n"
-        "{},{},{},{}\n"
-        "{},{x},{x},{}\n"
-        "{},{x},{x,y},{y}\n"
-        "{},{},{y},{y}\n"
-    )
-    spec = parse_finite_algebra(text)
+    spec = parse_finite_algebra(POWERSET_TEXT)
     table_alg = from_finite_spec(spec, name="powerset_table")
     reference = make_builtin("powerset", universe=["x", "y"])
     for a in table_alg.carrier:
         for b in table_alg.carrier:
             assert table_alg.plus(a, b) == reference.plus(a, b)
             assert table_alg.times(a, b) == reference.times(a, b)
+
+
+def test_parse_finite_algebra_names_an_unknown_token_set_cell():
+    text = POWERSET_TEXT.replace("{x},{x},{x,y},{x,y}\n", "{x},{x,z},{x,y},{x,y}\n")
+    with pytest.raises(ParseError) as exc_info:
+        parse_finite_algebra(text)
+    assert str(exc_info.value) == (
+        "algebra, line 6, plus cell (2, 2): '{x,z}' is not a listed element"
+    )
+
+
+def _walk_top_level_commas(text: str) -> list[str]:
+    # the per-character walker the parser once used: the reference
+    parts: list[str] = []
+    depth = 0
+    current: list[str] = []
+    for ch in text:
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+            continue
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
+@given(st.text(alphabet=",{}ab \t"))
+def test_split_top_level_commas_matches_the_character_walker(text):
+    assert _split_top_level_commas(text) == _walk_top_level_commas(text)
 
 
 def test_parse_finite_algebra_ragged_row_diagnostic():
@@ -329,7 +365,7 @@ def test_parse_finite_algebra_unknown_identity():
     assert "not a listed element" in exc_info.value.message
 
 
-@pytest.mark.parametrize("name", ["00", "-0", "2/4"])
+@pytest.mark.parametrize("name", ["00", "-0", "2/4", "\uffff"])
 def test_parse_finite_algebra_rejects_non_canonical_element(name):
     text = BOOL_TEXT.replace("elements: 0,1", f"elements: {name},1")
     with pytest.raises(ParseError) as exc_info:

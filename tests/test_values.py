@@ -119,6 +119,13 @@ def test_decode_any_dispatch():
         decode_any("bad\tvalue")
 
 
+def test_decode_any_refuses_the_literal_top_payload():
+    with pytest.raises(ValueError) as exc_info:
+        decode_any(TOP_PAYLOAD)
+    assert str(exc_info.value) == "'\\uffff' is not canonical; write it as '<TOP>'"
+    assert decode_any(TOP_ENCODING) == Value(kind="text", payload=TOP_PAYLOAD)
+
+
 def test_top_sentinel_sorts_above_alphanumerics():
     assert TOP_PAYLOAD > "zzzzzzzz"
     assert TOP_PAYLOAD > "ZZZZZZ99"
