@@ -114,7 +114,7 @@ def cmd_adjacency(args: argparse.Namespace) -> int:
     reverse = args.subcommand == "reverse-adjacency"
     adj = reverse_adjacency(pair, alg) if reverse else adjacency(pair, alg)
     _write_output(args, serialize_triples(adj))
-    vertices = {v for e in graph for v in (*e.sources, *e.targets)}
+    vertices = set(pair.e_out.col_keys).union(pair.e_in.col_keys)
     print(
         f"vertices={len(vertices)} edges={len(graph)} nonzeros={adj.nnz}",
         file=sys.stderr,
@@ -124,7 +124,7 @@ def cmd_adjacency(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     alg = resolve_algebra(args)
-    report = validate(alg, seed=args.seed)
+    report = validate(alg)
     print(report.to_text(), file=sys.stderr)
     _write_output(args, "".join(line + "\n" for line in report.to_machine_lines()))
     return 0 if report.certified else 1
@@ -139,7 +139,7 @@ _WITNESSES = {
 
 
 def _build_witness(args: argparse.Namespace, alg: Algebra) -> WitnessCase:
-    verdict = check(alg, f"criterion{args.criterion}", seed=args.seed)
+    verdict = check(alg, f"criterion{args.criterion}")
     if verdict.passed:
         raise PreconditionError(
             f"no witness exists from checker output: "
@@ -226,13 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="check an algebra against the compliance criteria")
     _add_algebra_flags(sp, required=True)
     _add_io_flags(sp, with_input=False)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("witness", help="emit a counterexample graph for a failing criterion")
     sp.add_argument("criterion", type=int, choices=(1, 2, 3))
     _add_algebra_flags(sp, required=True)
     _add_io_flags(sp, with_input=False)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("doc-adjacency", help="shared-words document adjacency from set-valued triples")
     _add_io_flags(sp, with_input=True)

@@ -94,8 +94,21 @@ def parse_set_triples(text: str, *, role: str = "triples") -> list[Triple]:
 
 
 def serialize_triples(arr: AssociativeArray) -> str:
-    """Emit entries as sorted triple lines; empty array gives an empty string."""
-    return "".join(f"{r}\t{c}\t{encode_value(v)}\n" for r, c, v in arr)
+    """Emit entries as sorted triple lines; empty array gives an empty string.
+
+    A value that cannot be written, such as a number past Python's digit
+    limit for ``str``, is a ValidationError naming its entry.
+    """
+    try:
+        return "".join(f"{r}\t{c}\t{encode_value(v)}\n" for r, c, v in arr)
+    except ValueError as exc:
+        # the error names no entry; the join stopped at the first that fails
+        for r, c, v in arr:
+            try:
+                encode_value(v)
+            except ValueError:
+                break
+        raise ValidationError(f"entry ({r}, {c}): {exc}") from None
 
 
 def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Graph:

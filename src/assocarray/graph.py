@@ -58,22 +58,6 @@ class IncidencePair:
     e_in: AssociativeArray
 
 
-def check_graph(g: Graph) -> None:
-    """Raise ValidationError on duplicate edge keys or endpoint-less edges."""
-    seen: set[str] = set()
-    for edge in g:
-        check_key(edge.key)
-        if edge.key in seen:
-            raise ValidationError(f"duplicate edge key {edge.key!r}")
-        seen.add(edge.key)
-        if not edge.sources:
-            raise ValidationError(f"edge {edge.key!r} has no sources")
-        if not edge.targets:
-            raise ValidationError(f"edge {edge.key!r} has no targets")
-        for vertex in (*edge.sources, *edge.targets):
-            check_key(vertex)
-
-
 def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
     """Build the incidence pair, rejecting zero or non-carrier weights.
 
@@ -81,10 +65,18 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
     structural edge with an unstored weight would make the sparsity pattern
     lie about the graph.
     """
-    check_graph(g)
+    out_rows: dict[str, Mapping[str, Value]] = {}
+    in_rows: dict[str, Mapping[str, Value]] = {}
     for edge in g:
-        for side in (edge.sources, edge.targets):
+        check_key(edge.key)
+        if edge.key in out_rows:
+            raise ValidationError(f"duplicate edge key {edge.key!r}")
+        out_rows[edge.key], in_rows[edge.key] = edge.sources, edge.targets
+        for side, name in ((edge.sources, "sources"), (edge.targets, "targets")):
+            if not side:
+                raise ValidationError(f"edge {edge.key!r} has no {name}")
             for vertex, weight in side.items():
+                check_key(vertex)
                 if not alg.contains_op(weight):
                     raise ValidationError(
                         f"edge {edge.key!r} weight {encode_value(weight)} at {vertex!r} "
@@ -95,8 +87,8 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
                         f"edge {edge.key!r} has zero weight at vertex {vertex!r}"
                     )
     return IncidencePair(
-        e_out=_build({edge.key: edge.sources for edge in g}, alg),
-        e_in=_build({edge.key: edge.targets for edge in g}, alg),
+        e_out=_build(out_rows, alg),
+        e_in=_build(in_rows, alg),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -270,6 +271,29 @@ def test_sample_nonzero_never_returns_zero(builtin):
         assert builtin.sample_nonzero(rng) != builtin.zero
 
 
+def test_sample_nonzero_refuses_when_only_zero_can_be_drawn():
+    with pytest.raises(ConfigurationError, match="has no nonzero elements"):
+        make_builtin("powerset", universe=[]).sample_nonzero(random.Random(0))
+    only_zero = Algebra(
+        name="zeros",
+        zero=Value.number(0),
+        one=Value.number(1),
+        plus_op=lambda a, b: a,
+        times_op=lambda a, b: a,
+        contains_op=lambda v: True,
+        decode_op=Value.text,
+        sample_op=lambda rng: Value.number(0),
+    )
+    with pytest.raises(ConfigurationError, match="sampler for zeros produced only zero values"):
+        only_zero.sample_nonzero(random.Random(0))
+
+
+def test_strings_refuse_a_value_of_another_kind():
+    strings = make_builtin("max_min_strings")
+    assert not strings.contains(Value.number(1))
+    assert not strings.contains(Value.tokens(["a"]))
+
+
 BOOL_SPEC = FiniteAlgebraSpec(
     elements=(Value.number(0), Value.number(1)),
     zero_index=0,
@@ -277,6 +301,12 @@ BOOL_SPEC = FiniteAlgebraSpec(
     plus_table=((0, 1), (1, 1)),
     times_table=((0, 0), (0, 1)),
 )
+
+
+def test_sample_draws_from_a_finite_carrier():
+    alg = from_finite_spec(BOOL_SPEC, name="bool")
+    rng = random.Random(5)
+    assert {alg.sample(rng) for _ in range(50)} == set(alg.carrier)
 
 
 def test_from_finite_spec_table_lookup():
@@ -299,6 +329,20 @@ def test_finite_spec_rejects_duplicates():
     )
     with pytest.raises(ValidationError):
         spec.validate()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(elements=()), "element list is empty"),
+        (dict(elements=(Value.number(1), Value.text("1"))), "element encodings are not distinct"),
+        (dict(times_table=((0, 0),)), "times table has 1 rows, expected 2"),
+    ],
+    ids=["empty", "same-encoding", "missing-row"],
+)
+def test_finite_spec_rejects_malformed_element_lists_and_tables(changes, message):
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(BOOL_SPEC, **changes).validate()
 
 
 def test_finite_spec_rejects_ragged_rows():

@@ -429,6 +429,18 @@ def test_check_invariants_catches_corruption(naturals):
     with pytest.raises(ValidationError, match="column key set"):
         check_invariants(wrong_cols)
 
+    one = Value.number(1)
+    for rows, row_keys, col_keys, message in [
+        ({"a": {"c": one}, "b": {"c": one}}, ("b", "a"), ("c",), "row keys are not sorted"),
+        ({"a": {"b": one, "c": one}}, ("a",), ("c", "b"), "column keys are not sorted"),
+        ({"a": {"c": one}}, ("a", "b"), ("c",), "stored rows do not match"),
+        ({"a": {"c": one, "b": one}}, ("a",), ("b", "c"), "'a' columns are not sorted"),
+        ({"a": {"b": Value.number(-1)}}, ("a",), ("b",), r"-1 at \(a, b\) is outside"),
+    ]:
+        corrupt = AssociativeArray(rows=rows, row_keys=row_keys, col_keys=col_keys)
+        with pytest.raises(ValidationError, match=message):
+            check_invariants(corrupt, naturals)
+
 
 @given(nat_triples_st)
 def test_to_triples_roundtrip(triples):

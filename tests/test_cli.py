@@ -452,9 +452,40 @@ def test_adjacency_rejects_seed(capsys, data_dir, cmd):
     assert exc_info.value.code == 2
 
 
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run(capsys, "validate", "--algebra", "natural", "--seed", "7")
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--algebra", "natural"], ["witness", "1", "--algebra", "integer-ring"]],
+    ids=["validate", "witness"],
+)
+def test_validate_and_witness_reject_seed(capsys, argv):
+    # every check a builtin family samples is proved, and tables are
+    # scanned, so no seed could change an output
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--seed", "1"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+# Python's limit on the digits str() gives an int; 0 where there is none
+# (before 3.10.7, or with PYTHONINTMAXSTRDIGITS=0).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no integer digit limit")
+def test_adjacency_result_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # each weight is within the limit, but their product is past it
+    weight = "1" + "0" * (DIGIT_LIMIT // 2 + 1)
+    edges = tmp_path / "big.edges"
+    edges.write_text(f"k1\ta\tb\t{weight}\t{weight}\n")
+    out_path = tmp_path / "out.tsv"
+    code, out, err = run(
+        capsys, "adjacency", "--algebra", "natural", "--input", str(edges),
+        "--output", str(out_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: entry (a, b): Exceeds the limit ({DIGIT_LIMIT} digits)")
+    assert not out_path.exists()
 
 
 def module_env(**extra):

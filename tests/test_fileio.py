@@ -18,7 +18,7 @@ from assocarray.fileio import (
     serialize_finite_algebra,
     serialize_triples,
 )
-from assocarray.graph import random_graph
+from assocarray.graph import incidence_arrays, random_graph
 from assocarray.values import Value
 
 
@@ -221,6 +221,41 @@ def test_parse_edge_list_fails_on_a_line_or_round_trips(alg, text):
     }
 
 
+def edge_list_st(weights):
+    """Edge lists over a few keys and vertices, so that most draws parse;
+    repeated keys make hyperedges, and a repeated endpoint may conflict."""
+    line_st = st.tuples(
+        st.sampled_from(["k1", "k2", "k3"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.lists(st.sampled_from(weights), max_size=2),
+    ).map(lambda t: "\t".join((*t[:3], *t[3])))
+    return st.lists(line_st, max_size=8).map("\n".join)
+
+
+@pytest.mark.parametrize(
+    "alg, text_st",
+    [
+        (make_builtin("natural_arithmetic"), edge_list_st(["1", "2", "0"])),
+        (make_builtin("powerset", universe=["x", "y"]), edge_list_st(["{x}", "{x,y}", "{}"])),
+        (make_builtin("natural_arithmetic"), edge_text_st),
+    ],
+    ids=["natural", "powerset", "natural-fuzz"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_parsed_edge_list_is_a_valid_graph_with_the_parsed_rows(alg, text_st, data):
+    # parse_edge_list enforces every rule incidence_arrays checks, so the
+    # checked graph's rows are exactly the parsed per-edge maps.
+    try:
+        g = parse_edge_list(data.draw(text_st), alg)
+    except ParseError:
+        return
+    p = incidence_arrays(g, alg)
+    assert p.e_out.rows == {e.key: e.sources for e in g}
+    assert p.e_in.rows == {e.key: e.targets for e in g}
+
+
 def test_parse_set_triples_is_universe_free():
     triples = parse_set_triples("d1\td2\t{pear}\n")
     assert triples == [("d1", "d2", Value.tokens(["pear"]))]
@@ -379,6 +414,14 @@ def test_parse_finite_algebra_missing_section():
     with pytest.raises(ParseError) as exc_info:
         parse_finite_algebra("elements: 0,1\nzero: 0\none: 1\n")
     assert "missing" in str(exc_info.value)
+
+
+def test_parse_finite_algebra_wants_table_rows_on_their_own_lines():
+    with pytest.raises(ParseError) as exc_info:
+        parse_finite_algebra(BOOL_TEXT.replace("times:\n", "times: 0,0\n"))
+    assert str(exc_info.value) == (
+        "algebra, line 7, times: table rows must start on the next line"
+    )
 
 
 def test_parse_finite_algebra_unknown_table_cell():

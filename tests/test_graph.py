@@ -11,10 +11,10 @@ from assocarray.array import check_invariants, empty, from_triples, support, to_
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.graph import (
     EdgeRecord,
+    IncidencePair,
     WordOverlapViolation,
     adjacency,
     adjacency_oracle,
-    check_graph,
     check_transpose_identity,
     check_word_consistency,
     document_adjacency,
@@ -79,8 +79,14 @@ def test_incidence_rejects_zero_weight(naturals):
         ((EdgeRecord("k", {"a\tb": ONE}, {"b": ONE}),), "tab or line break"),
         ((EdgeRecord("k", {"a": ONE}, {"b\tc": ONE}),), "tab or line break"),
         ((EdgeRecord("", {"a": ONE}, {"b": ONE}),), "non-empty string"),
+        (simple_graph(("k", "a", "b"), ("k", "b", "c")), "duplicate edge key"),
+        ((EdgeRecord("k", {}, {"b": ONE}),), "no sources"),
+        ((EdgeRecord("k", {"a": ONE}, {}),), "no targets"),
     ],
-    ids=["source-weight", "target-weight", "source-tab", "target-tab", "empty-edge-key"],
+    ids=[
+        "source-weight", "target-weight", "source-tab", "target-tab", "empty-edge-key",
+        "duplicate-edge-key", "no-sources", "no-targets",
+    ],
 )
 def test_incidence_rejects_bad_graphs_built_in_code(naturals, graph, message):
     with pytest.raises(ValidationError, match=message):
@@ -113,13 +119,23 @@ def test_incidence_does_not_alias_the_graph(naturals):
     assert (to_triples(p.e_out), to_triples(p.e_in)) == before
 
 
-def test_check_graph_rejects_duplicates_and_dangling():
-    with pytest.raises(ValidationError, match="duplicate edge key"):
-        check_graph(simple_graph(("k", "a", "b"), ("k", "b", "c")))
-    with pytest.raises(ValidationError, match="no sources"):
-        check_graph((EdgeRecord("k", {}, {"b": ONE}),))
-    with pytest.raises(ValidationError, match="no targets"):
-        check_graph((EdgeRecord("k", {"a": ONE}, {}),))
+def test_incidence_reports_the_first_fault_in_reading_order(naturals):
+    # Edges in order; in each, the key, then sources before targets, and per
+    # side its emptiness before each vertex's key, carrier and zero checks.
+    g = (
+        EdgeRecord("k1", {"a": ONE}, {"b": ONE}),
+        EdgeRecord("k2", {"a": Value.number(-1)}, {}),
+        EdgeRecord("k1", {"a\tb": ONE}, {"b": ONE}),
+    )
+    with pytest.raises(ValidationError) as exc_info:
+        incidence_arrays(g, naturals)
+    assert str(exc_info.value) == (
+        "edge 'k2' weight -1 at 'a' is outside the carrier of natural_arithmetic"
+    )
+    # a bad source vertex comes before the empty target side
+    bad_source = (g[0], EdgeRecord("k2", {"a\tb": ONE}, {}), g[2])
+    with pytest.raises(ValidationError, match=r"^key 'a\\tb' contains a tab"):
+        incidence_arrays(bad_source, naturals)
 
 
 def test_adjacency_of_path(naturals):
@@ -161,6 +177,15 @@ def test_oracle_on_hyperedge(naturals):
     assert support(adjacency(p, naturals)) == {("a", "c"), ("b", "c")}
 
 
+def test_oracle_skips_an_edge_the_in_incidence_lacks(naturals):
+    # a hand-built pair: k2 leaves b but enters nothing
+    p = IncidencePair(
+        e_out=from_triples([("k1", "a", ONE), ("k2", "b", ONE)], naturals),
+        e_in=from_triples([("k1", "c", ONE)], naturals),
+    )
+    assert adjacency_oracle(p) == {("a", "c")}
+
+
 def test_oracle_never_calls_the_operations():
     def trap(a, b):
         raise AssertionError("oracle invoked an algebra operation")
@@ -182,7 +207,7 @@ def test_random_graph_is_deterministic_and_valid(naturals):
     g1 = random_graph(naturals, random.Random(42))
     g2 = random_graph(naturals, random.Random(42))
     assert g1 == g2
-    check_graph(g1)
+    incidence_arrays(g1, naturals)
     for edge in g1:
         for w in (*edge.sources.values(), *edge.targets.values()):
             assert w != naturals.zero

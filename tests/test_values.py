@@ -45,6 +45,21 @@ def test_text_rejects_tabs_and_newlines():
     assert Value.text("a\x1fb").payload == "a\x1fb"  # not a line break
 
 
+def test_text_rejects_a_non_string():
+    with pytest.raises(TypeError, match="text payload must be str, got 7"):
+        Value.text(7)
+
+
+def test_repr_shows_kind_and_encoding():
+    assert repr(Value.number(Fraction(1, 2))) == "Value(number:1/2)"
+    assert repr(Value.tokens(["b", "a"])) == "Value(tokens:{a,b})"
+
+
+def test_encode_value_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown value kind 'bogus'"):
+        encode_value(Value("bogus", 1))
+
+
 def test_tokens_sorted_and_deduplicated():
     v = Value.tokens(["pear", "apple", "pear"])
     assert v.payload == ("apple", "pear")
