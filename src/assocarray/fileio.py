@@ -123,6 +123,10 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
     """
     sources: dict[str, dict[str, Value]] = {}
     targets: dict[str, dict[str, Value]] = {}
+    # texts that passed, so each distinct text is checked or decoded once;
+    # a failing text is never stored and raises on the first line holding it
+    keys: set[str] = set()
+    weights_of: dict[str, Value] = {}
     for line_no, line in _logical_lines(text):
         fields = line.split("\t")
         if not 3 <= len(fields) <= 5:
@@ -130,17 +134,24 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
                 role, line_no, "line",
                 f"expected 3 to 5 tab-separated fields, got {len(fields)}",
             )
-        key = _field(role, line_no, "edge key", check_key, fields[0])
-        src = _field(role, line_no, "source vertex", check_key, fields[1])
-        dst = _field(role, line_no, "target vertex", check_key, fields[2])
+        for label, raw in zip(("edge key", "source vertex", "target vertex"), fields):
+            if raw not in keys:
+                keys.add(_field(role, line_no, label, check_key, raw))
+        key, src, dst = fields[:3]
         weights = []
         for label, raw in (("out_value", fields[3:4]), ("in_value", fields[4:5])):
-            w = _field(role, line_no, label, alg.decode_op, raw[0]) if raw else alg.one
-            if w == alg.zero:
-                raise ParseError(role, line_no, label, "zero weight is forbidden" if raw else (
-                    f"weight omitted, and its default one equals zero in {alg.name}; "
-                    "write the weight"
-                ))
+            if not raw:
+                w = alg.one
+                if w == alg.zero:
+                    raise ParseError(role, line_no, label, (
+                        f"weight omitted, and its default one equals zero in {alg.name}; "
+                        "write the weight"
+                    ))
+            elif (w := weights_of.get(raw[0])) is None:
+                w = _field(role, line_no, label, alg.decode_op, raw[0])
+                if w == alg.zero:
+                    raise ParseError(role, line_no, label, "zero weight is forbidden")
+                weights_of[raw[0]] = w
             weights.append(w)
         out_w, in_w = weights
         for side, vertex, w, label in (
@@ -173,6 +184,8 @@ def _split_top_level_commas(text: str) -> list[str]:
     # commas inside {...} belong to token-set encodings, not the list: a piece
     # joins the part before it while the brace depth of all text before it is
     # nonzero, unbalanced braces included
+    if "{" not in text and "}" not in text:
+        return text.split(",")
     parts: list[str] = []
     depth = 0
     for piece in text.split(","):

@@ -67,6 +67,7 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
     """
     out_rows: dict[str, Mapping[str, Value]] = {}
     in_rows: dict[str, Mapping[str, Value]] = {}
+    vertices: set[str] = set()  # vertex keys that passed check_key
     for edge in g:
         check_key(edge.key)
         if edge.key in out_rows:
@@ -76,7 +77,8 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
             if not side:
                 raise ValidationError(f"edge {edge.key!r} has no {name}")
             for vertex, weight in side.items():
-                check_key(vertex)
+                if vertex not in vertices:
+                    vertices.add(check_key(vertex))
                 if not alg.contains_op(weight):
                     raise ValidationError(
                         f"edge {edge.key!r} weight {encode_value(weight)} at {vertex!r} "

@@ -18,6 +18,7 @@ from conftest import (
 from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import (
     AssociativeArray,
+    _build,
     check_invariants,
     check_key,
     empty,
@@ -136,6 +137,34 @@ def test_from_triples_drops_cancelled_entries(integers):
     )
     assert arr == empty()
     assert arr.row_keys == () and arr.col_keys == ()
+
+
+@pytest.mark.parametrize("name", ["natural_arithmetic", "xor_and"])
+def test_build_drops_zeros_equal_to_but_not_the_algebras_zero(name, naturals, xor_and):
+    alg = {"natural_arithmetic": naturals, "xor_and": xor_and}[name]
+    zero = dataclasses.replace(alg.zero)
+    assert zero == alg.zero and zero is not alg.zero
+    one = alg.one
+    lone = {"c": one}
+    arr = _build(
+        {"r3": {"c": zero}, "r2": {"c": one, "a": zero, "b": one}, "r1": lone}, alg
+    )
+    assert arr.rows == {"r1": {"c": one}, "r2": {"b": one, "c": one}}
+    assert list(arr.rows["r2"]) == ["b", "c"]
+    assert (arr.row_keys, arr.col_keys) == (("r1", "r2"), ("b", "c"))
+    assert arr.rows["r1"] is not lone  # a one-column row is copied, not aliased
+
+
+@pytest.mark.parametrize(
+    "name, terms",
+    [("natural_arithmetic", (0, 0)), ("xor_and", (1, 1))],
+)
+def test_from_triples_drops_a_coordinate_that_folds_to_zero(name, terms, naturals, xor_and):
+    alg = {"natural_arithmetic": naturals, "xor_and": xor_and}[name]
+    arr = from_triples(
+        [("a", "b", Value.number(t)) for t in terms] + [("a", "c", alg.one)], alg
+    )
+    assert to_triples(arr) == [("a", "c", alg.one)]
 
 
 def test_from_triples_empty(naturals):

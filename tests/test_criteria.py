@@ -14,6 +14,7 @@ from assocarray.algebra import (
 from assocarray.array import support
 from assocarray.criteria import (
     WitnessCase,
+    _violates,
     check,
     demonstrate,
     validate,
@@ -193,6 +194,11 @@ def test_bogus_known_failure_is_rejected(naturals):
     )
     with pytest.raises(InternalConsistencyError):
         check(lying, CHECK_CRITERION1)
+
+
+def test_violates_refuses_an_unknown_check(naturals):
+    with pytest.raises(InternalConsistencyError, match="unknown check 'bogus'"):
+        _violates(naturals, "bogus", ())
 
 
 def test_annihilator_check_covers_both_sides(annihilator_left):

@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assocarray.algebra import from_finite_spec, make_builtin
-from assocarray.array import from_triples, to_triples
+from assocarray.array import check_key, from_triples, to_triples
 from assocarray.fileio import (
     ParseError,
+    _field,
+    _logical_lines,
     _split_top_level_commas,
     parse_edge_list,
     parse_finite_algebra,
@@ -18,8 +20,8 @@ from assocarray.fileio import (
     serialize_finite_algebra,
     serialize_triples,
 )
-from assocarray.graph import incidence_arrays, random_graph
-from assocarray.values import Value
+from assocarray.graph import EdgeRecord, incidence_arrays, random_graph
+from assocarray.values import Value, encode_value
 
 
 def test_parse_triples_basic(naturals):
@@ -256,6 +258,110 @@ def test_a_parsed_edge_list_is_a_valid_graph_with_the_parsed_rows(alg, text_st, 
     assert p.e_in.rows == {e.key: e.targets for e in g}
 
 
+def _parse_edge_list_unmemoized(text, alg, role="edge-list"):
+    # the parse loop as it was before its per-parse memos: every key and
+    # weight text is checked or decoded again on every line.  The reference.
+    sources, targets = {}, {}
+    for line_no, line in _logical_lines(text):
+        fields = line.split("\t")
+        if not 3 <= len(fields) <= 5:
+            raise ParseError(
+                role, line_no, "line",
+                f"expected 3 to 5 tab-separated fields, got {len(fields)}",
+            )
+        key = _field(role, line_no, "edge key", check_key, fields[0])
+        src = _field(role, line_no, "source vertex", check_key, fields[1])
+        dst = _field(role, line_no, "target vertex", check_key, fields[2])
+        weights = []
+        for label, raw in (("out_value", fields[3:4]), ("in_value", fields[4:5])):
+            w = _field(role, line_no, label, alg.decode_op, raw[0]) if raw else alg.one
+            if w == alg.zero:
+                raise ParseError(role, line_no, label, "zero weight is forbidden" if raw else (
+                    f"weight omitted, and its default one equals zero in {alg.name}; "
+                    "write the weight"
+                ))
+            weights.append(w)
+        out_w, in_w = weights
+        for side, vertex, w, label in (
+            (sources.setdefault(key, {}), src, out_w, "source"),
+            (targets.setdefault(key, {}), dst, in_w, "target"),
+        ):
+            if vertex in side and side[vertex] != w:
+                raise ParseError(
+                    role, line_no, f"{label} vertex {vertex!r}",
+                    f"conflicting weights {encode_value(side[vertex])} and {encode_value(w)}",
+                )
+            side[vertex] = w
+    return tuple(EdgeRecord(key=k, sources=side, targets=targets[k]) for k, side in sources.items())
+
+
+def _parse_outcome(parse, text, alg):
+    try:
+        return parse(text, alg)
+    except ParseError as exc:
+        return (exc.line_no, exc.field, exc.message)
+
+
+MEMO_CASES = [
+    ("natural", make_builtin("natural_arithmetic"), ["1", "2", "0", "007", "20"]),
+    ("powerset", make_builtin("powerset", universe=["x", "y"]), ["{x}", "{x,y}", "{}", "{z}"]),
+    ("max_min_strings", make_builtin("max_min_strings"), ["a", "b1", "<TOP>", "", "a b"]),
+    ("max_plus_realzero", make_builtin("max_plus_realzero"), ["1", "-2", "0", "-0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "alg, text_st",
+    [
+        param
+        for _, alg, weights in MEMO_CASES
+        for param in ((alg, edge_text_st), (alg, edge_list_st(weights)))
+    ],
+    ids=[f"{name}-{kind}" for name, _, _ in MEMO_CASES for kind in ("fuzz", "edges")],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_edge_list_matches_the_unmemoized_loop(alg, text_st, data):
+    text = data.draw(text_st)
+    assert _parse_outcome(parse_edge_list, text, alg) == _parse_outcome(
+        _parse_edge_list_unmemoized, text, alg
+    )
+
+
+def test_parse_edge_list_reports_a_repeated_bad_text_on_its_first_line(naturals):
+    # "0" passes as a vertex key on line 1; as a weight it is refused, and
+    # neither a passing key nor a failing weight carries over between the two
+    text = "k1\t0\tb\t2\nk2\tb\tc\t2\t0\nk3\tc\td\t0\n"
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list(text, naturals)
+    err = exc_info.value
+    assert (err.line_no, err.field, err.message) == (2, "in_value", "zero weight is forbidden")
+    text = "k1\ta\tb\t2\nk2\tb\tc\t007\nk3\tc\td\t007\n"
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list(text, naturals)
+    assert (exc_info.value.line_no, exc_info.value.field) == (2, "out_value")
+
+
+def test_parse_edge_list_refuses_an_omitted_weight_after_an_explicit_one(max_plus):
+    text = "k1\ta\tb\t1\t2\nk2\tb\tc\t1\n"
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list(text, max_plus)
+    err = exc_info.value
+    assert (err.line_no, err.field) == (2, "in_value")
+    assert "omitted" in err.message
+
+
+def test_parse_edge_list_catches_a_conflict_between_memoized_weights(naturals):
+    g = parse_edge_list("k1\ta\tb\t2\t3\nk2\tc\td\t3\t2\n", naturals)
+    assert g[0].sources["a"] is g[1].targets["d"]  # equal texts share one Value
+    with pytest.raises(ParseError) as exc_info:
+        parse_edge_list("k1\ta\tb\t2\t3\nk2\tc\td\t3\t2\nk1\ta\tc\t3\t2\n", naturals)
+    err = exc_info.value
+    assert (err.line_no, err.field, err.message) == (
+        3, "source vertex 'a'", "conflicting weights 2 and 3"
+    )
+
+
 def test_parse_set_triples_is_universe_free():
     triples = parse_set_triples("d1\td2\t{pear}\n")
     assert triples == [("d1", "d2", Value.tokens(["pear"]))]
@@ -381,6 +487,11 @@ def _walk_top_level_commas(text: str) -> list[str]:
 
 
 @given(st.text(alphabet=",{}ab \t"))
+# a lone "}" drives the depth negative, so its pieces are still rejoined
+@example("a},b")
+@example("}a,b")
+@example("{a},b")
+@example("a,b")
 def test_split_top_level_commas_matches_the_character_walker(text):
     assert _split_top_level_commas(text) == _walk_top_level_commas(text)
 
