@@ -62,9 +62,7 @@ def _build(rows: Mapping[str, Mapping[str, Value]], alg: Algebra) -> Associative
     built: dict[str, dict[str, Value]] = {}
     col_seen: set[str] = set()
     for r in sorted(rows):
-        row = rows[r]
-        # a one-column row is copied as it is: it needs no sort
-        cols = dict(row) if len(row) == 1 else dict(sorted(row.items()))
+        cols = dict(sorted(rows[r].items()))
         if zero in cols.values():
             cols = {c: v for c, v in cols.items() if v != zero}
         if cols:
