@@ -3,8 +3,9 @@
 An array maps pairs of string keys to algebra values.  Only values different
 from the algebra's zero are stored, and the key sets are exactly the rows and
 columns that carry at least one stored entry, kept in ascending order.  Keys
-are non-empty strings without tabs or line breaks so every array serializes
-losslessly to tab-separated triples.
+are strings without tabs or line breaks that are neither blank nor start with
+``#`` after leading whitespace, so every array serializes losslessly to
+tab-separated triples.
 
 All reductions here are bare left folds in ascending key order: a single term
 is returned as-is, an empty sequence of terms yields the algebra's zero, and
@@ -29,6 +30,9 @@ def check_key(key: str) -> str:
         raise ValidationError(f"key must be a non-empty string, got {key!r}")
     if _has_field_break(key):
         raise ValidationError(f"key {key!r} contains a tab or line break")
+    if key.lstrip()[:1] in ("", "#"):
+        # its line would read back as a blank line or a comment and be skipped
+        raise ValidationError(f"key {key!r} is blank or, after leading whitespace, starts with '#'")
     return key
 
 
@@ -107,16 +111,8 @@ def get(arr: AssociativeArray, row: str, col: str, alg: Algebra) -> Value:
     return cols.get(col, alg.zero)
 
 
-def to_triples(arr: AssociativeArray) -> list[Triple]:
-    return list(arr)
-
-
 def support(arr: AssociativeArray) -> frozenset[tuple[str, str]]:
     return frozenset((r, c) for r, c, _ in arr)
-
-
-def equal_support(a: AssociativeArray, b: AssociativeArray) -> bool:
-    return support(a) == support(b)
 
 
 def transpose(arr: AssociativeArray) -> AssociativeArray:

@@ -148,18 +148,12 @@ def adjacency_oracle(p: IncidencePair) -> frozenset[tuple[str, str]]:
     return frozenset(pairs)
 
 
-def random_graph(
-    alg: Algebra,
-    rng: random.Random,
-    *,
-    max_vertices: int = 8,
-    max_edges: int = 20,
-) -> Graph:
+def random_graph(alg: Algebra, rng: random.Random) -> Graph:
     """Draw a graph with nonzero weights, allowing self-loops, parallel edges,
-    and the occasional hyperedge."""
-    n_vertices = rng.randint(1, max_vertices)
+    and the occasional hyperedge: 1 to 8 vertices, 0 to 20 edges."""
+    n_vertices = rng.randint(1, 8)
     vertices = [f"v{i}" for i in range(n_vertices)]
-    n_edges = rng.randint(0, max_edges)
+    n_edges = rng.randint(0, 20)
     edges = []
     for i in range(n_edges):
         sources = {rng.choice(vertices): alg.sample_nonzero(rng)}

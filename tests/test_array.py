@@ -22,14 +22,12 @@ from assocarray.array import (
     check_invariants,
     check_key,
     empty,
-    equal_support,
     ewise_add,
     ewise_mult,
     from_triples,
     get,
     matmul,
     support,
-    to_triples,
     transpose,
 )
 from assocarray.errors import ValidationError
@@ -110,7 +108,10 @@ def differential_algebra(name):
 def test_check_key_rules():
     assert check_key("a b") == "a b"
     assert check_key("a\x1fb") == "a\x1fb"  # not a line break
-    for bad in ("", 7, *(f"a{ch}b" for ch in FIELD_BREAKS), *FIELD_BREAKS):
+    assert check_key("a#") == "a#"
+    assert check_key(" a") == " a"
+    # a blank or #-led key would start a line that reads back as a comment
+    for bad in ("", 7, "#a", " #a", " ", *(f"a{ch}b" for ch in FIELD_BREAKS), *FIELD_BREAKS):
         with pytest.raises(ValidationError):
             check_key(bad)
 
@@ -128,7 +129,7 @@ def test_from_triples_folds_duplicates_in_order(naturals):
     arr = from_triples(
         [("r1", "c1", Value.number(2)), ("r1", "c1", Value.number(3))], naturals
     )
-    assert to_triples(arr) == [("r1", "c1", Value.number(5))]
+    assert list(arr) == [("r1", "c1", Value.number(5))]
 
 
 def test_from_triples_drops_cancelled_entries(integers):
@@ -164,7 +165,7 @@ def test_from_triples_drops_a_coordinate_that_folds_to_zero(name, terms, natural
     arr = from_triples(
         [("a", "b", Value.number(t)) for t in terms] + [("a", "c", alg.one)], alg
     )
-    assert to_triples(arr) == [("a", "c", alg.one)]
+    assert list(arr) == [("a", "c", alg.one)]
 
 
 def test_from_triples_empty(naturals):
@@ -437,8 +438,8 @@ def test_support_and_equal_support(naturals):
     b = from_triples(
         [("a", "b", Value.number(1)), ("b", "a", Value.number(1))], naturals
     )
-    assert equal_support(a, b)
-    assert not equal_support(a, from_triples([("a", "b", Value.number(1))], naturals))
+    assert support(a) == support(b)
+    assert support(a) != support(from_triples([("a", "b", Value.number(1))], naturals))
 
 
 def test_check_invariants_catches_corruption(naturals):
@@ -477,5 +478,5 @@ def test_to_triples_roundtrip(triples):
 
     nat = make_builtin("natural_arithmetic")
     arr = from_triples(triples, nat)
-    assert from_triples(to_triples(arr), nat) == arr
-    assert to_triples(arr) == sorted(to_triples(arr))
+    assert from_triples(list(arr), nat) == arr
+    assert list(arr) == sorted(arr)

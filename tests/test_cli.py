@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from assocarray.algebra import make_builtin
 from assocarray.cli import main
+from assocarray.criteria import CHECK_LABELS, check, validate
+from test_criteria import _golden_algebras
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_DIR / "src"
@@ -436,13 +438,69 @@ def test_adjacency_warns_from_a_builtin_familys_laws_alone(capsys, data_dir, mon
     def no_scan(*args, **kwargs):
         raise AssertionError("validate ran for a builtin family")
 
+    # a proved check is skipped, so only the known failure is replayed
+    checked = []
+
+    def recording_check(alg, name, **kwargs):
+        checked.append(name)
+        return check(alg, name, **kwargs)
+
     monkeypatch.setattr("assocarray.cli.validate", no_scan)
+    monkeypatch.setattr("assocarray.cli.check", recording_check)
     code, _, err = run(
         capsys, "adjacency", "--algebra", "integer-ring",
         "--input", str(data_dir / "cancelling.edges"),
     )
     assert code == 0
     assert "criterion 1 fail" in err
+    assert checked == ["criterion1"]
+
+
+# Every builtin, every table, and three lawless builtins stripped of their
+# known witnesses, so that their failures come from the sampler.
+WARNING_ALGEBRAS = _golden_algebras() + [
+    make_builtin("powerset", universe=list("ab")[:n]) for n in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("alg", WARNING_ALGEBRAS, ids=[a.name for a in WARNING_ALGEBRAS])
+def test_adjacency_warning_names_what_validate_fails(capsys, monkeypatch, tmp_path, alg):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    monkeypatch.setattr("assocarray.cli.resolve_algebra", lambda args: alg)
+    code, out, err = run(capsys, "adjacency", "--algebra", "x", "--input", str(empty))
+    assert (code, out) == (0, "")
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    failures = validate(alg).failures()
+    if not failures:
+        assert warnings == []
+        return
+    (warning,) = warnings
+    assert warning.startswith(f"warning: {alg.name} is not certified: ")
+    assert re.findall(r"(identity|criterion \d) fail \(([^)]*)\)", warning) == [
+        (name.replace("criterion", "criterion "), CHECK_LABELS[name]) for name in failures
+    ]
+
+
+@pytest.mark.parametrize("flag", [["--levels", "3"], ["--universe", "a"]], ids=["levels", "universe"])
+@pytest.mark.parametrize(
+    "cmd",
+    [["adjacency", "--input", "path.edges"], ["validate"], ["witness", "1"]],
+    ids=["adjacency", "validate", "witness"],
+)
+def test_family_flags_with_a_table_path_exit_2(capsys, monkeypatch, data_dir, cmd, flag):
+    monkeypatch.chdir(data_dir)
+    code, out, err = run(capsys, *cmd, "--algebra", "xor_and.alg", *flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: xor_and.alg takes no parameters, got {flag[0]}\n"
+
+
+def test_a_key_that_would_read_back_as_a_comment_exits_2(capsys, tmp_path):
+    edges = tmp_path / "h.edges"
+    edges.write_text("k\t#a\tb\nk2\t \t#c\n")
+    code, out, err = run(capsys, "adjacency", "--algebra", "natural", "--input", str(edges))
+    assert (code, out) == (2, "")
+    assert "line 1, source vertex" in err
 
 
 @pytest.mark.parametrize("cmd", ["adjacency", "reverse-adjacency"])

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assocarray.algebra import from_finite_spec, make_builtin
-from assocarray.array import check_key, from_triples, to_triples
+from assocarray.array import check_key, from_triples
+from assocarray.errors import ValidationError
 from assocarray.fileio import (
     ParseError,
     _field,
@@ -37,7 +38,7 @@ def test_parse_triples_set_values(powerset_xy):
 def test_parse_triples_keeps_zero_values(naturals):
     triples = parse_triples("a\tb\t0\n", naturals)
     assert triples == [("a", "b", Value.number(0))]
-    assert to_triples(from_triples(triples, naturals)) == []
+    assert list(from_triples(triples, naturals)) == []
 
 
 def test_parse_triples_skips_blanks_and_comments(naturals):
@@ -91,19 +92,27 @@ def test_serialize_empty_array(naturals):
     assert serialize_triples(from_triples([], naturals)) == ""
 
 
+# #-led and space-led keys too: a key either is refused or reads back as is.
+triple_key_st = st.sampled_from(["a", "b", "c", "#a", " #b", " c", "c#", " ", "\u3000#"])
+
+
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["a", "b", "c"]),
-            st.sampled_from(["a", "b", "c"]),
+            triple_key_st,
+            triple_key_st,
             st.integers(min_value=0, max_value=99),
         ),
         max_size=8,
     )
 )
+@example([("#a", "b", 1)])
 def test_triples_roundtrip(raw):
     nat = make_builtin("natural_arithmetic")
-    arr = from_triples([(r, c, Value.number(n)) for r, c, n in raw], nat)
+    try:
+        arr = from_triples([(r, c, Value.number(n)) for r, c, n in raw], nat)
+    except ValidationError:
+        return
     text = serialize_triples(arr)
     assert from_triples(parse_triples(text, nat), nat) == arr
     assert serialize_triples(from_triples(parse_triples(text, nat), nat)) == text
