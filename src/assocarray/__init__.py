@@ -49,7 +49,6 @@ from .fileio import (
     parse_set_triples,
     parse_triples,
     serialize_edge_list,
-    serialize_finite_algebra,
     serialize_triples,
 )
 from .graph import (
@@ -59,12 +58,9 @@ from .graph import (
     WordOverlapViolation,
     adjacency,
     adjacency_oracle,
-    check_transpose_identity,
     check_word_consistency,
     document_adjacency,
     incidence_arrays,
-    random_graph,
-    reverse,
     reverse_adjacency,
     shared_words_array,
 )
@@ -94,7 +90,6 @@ __all__ = [
     "adjacency",
     "adjacency_oracle",
     "check",
-    "check_transpose_identity",
     "check_word_consistency",
     "decode_any",
     "demonstrate",
@@ -112,11 +107,8 @@ __all__ = [
     "parse_finite_algebra",
     "parse_set_triples",
     "parse_triples",
-    "random_graph",
-    "reverse",
     "reverse_adjacency",
     "serialize_edge_list",
-    "serialize_finite_algebra",
     "serialize_triples",
     "shared_words_array",
     "support",

@@ -272,37 +272,3 @@ def matmul(
             s = folds.get(j)
             row[j] = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
     return _build(rows, alg)
-
-
-def check_invariants(arr: AssociativeArray, alg: Algebra | None = None) -> None:
-    """Raise ValidationError if the array's structural invariants are broken.
-
-    Checks sorted unique key sets, agreement between key sets and stored
-    entries, well-formed keys, and (when an algebra is given) that no stored
-    value equals its zero and every stored value is a carrier member.
-    """
-    if list(arr.row_keys) != sorted(set(arr.row_keys)):
-        raise ValidationError("row keys are not sorted and unique")
-    if list(arr.col_keys) != sorted(set(arr.col_keys)):
-        raise ValidationError("column keys are not sorted and unique")
-    if list(arr.rows) != list(arr.row_keys):
-        raise ValidationError("stored rows do not match the row key set")
-    cols_seen: set[str] = set()
-    for r, cols in arr.rows.items():
-        check_key(r)
-        if not cols:
-            raise ValidationError(f"row {r!r} has no stored entries")
-        if list(cols) != sorted(cols):
-            raise ValidationError(f"row {r!r} columns are not sorted")
-        for c, v in cols.items():
-            check_key(c)
-            cols_seen.add(c)
-            if alg is not None:
-                if not alg.contains_op(v):
-                    raise ValidationError(
-                        f"stored value {encode_value(v)} at ({r}, {c}) is outside the carrier"
-                    )
-                if v == alg.zero:
-                    raise ValidationError(f"stored zero at ({r}, {c})")
-    if cols_seen != set(arr.col_keys):
-        raise ValidationError("column key set does not match stored entries")

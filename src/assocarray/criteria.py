@@ -214,16 +214,26 @@ def witness_additive_inverse(v: Value, w: Value, alg: Algebra) -> WitnessCase:
     """Parallel edges a->b with out-weights v and w, where v plus w is zero.
 
     Both edges really connect a to b, but their contributions cancel and the
-    computed adjacency loses the pair.
+    computed adjacency loses the pair.  Both in-weights are one, so the entry
+    that must cancel is v times one plus w times one; where one is not a right
+    identity of times it need not be zero, and no witness can be built.
     """
     _require_violation(alg, CHECK_CRITERION1, (v, w))
-    if alg.one == alg.zero:
+    one = alg.one
+    if one == alg.zero:
         raise PreconditionError(
             "construction needs a nonzero one for the in-weights"
         )
+    entry = alg.plus_op(alg.times_op(v, one), alg.times_op(w, one))
+    if entry != alg.zero:
+        raise PreconditionError(
+            f"construction needs {encode_value(v)}*{encode_value(one)} + "
+            f"{encode_value(w)}*{encode_value(one)} to be zero for the in-weights, "
+            f"got {encode_value(entry)} in {alg.name}"
+        )
     graph = (
-        EdgeRecord("k1", sources={"a": v}, targets={"b": alg.one}),
-        EdgeRecord("k2", sources={"a": w}, targets={"b": alg.one}),
+        EdgeRecord("k1", sources={"a": v}, targets={"b": one}),
+        EdgeRecord("k2", sources={"a": w}, targets={"b": one}),
     )
     return WitnessCase(
         criterion=1,

@@ -279,17 +279,3 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
         plus_table=tables["plus"],
         times_table=tables["times"],
     )
-
-
-def serialize_finite_algebra(spec: FiniteAlgebraSpec) -> str:
-    """Emit the table format that parse_finite_algebra reads."""
-    names = [encode_value(v) for v in spec.elements]
-    lines = [
-        "elements: " + ",".join(names),
-        f"zero: {names[spec.zero_index]}",
-        f"one: {names[spec.one_index]}",
-    ]
-    for which, table in (("plus", spec.plus_table), ("times", spec.times_table)):
-        lines.append(f"{which}:")
-        lines.extend(",".join(names[cell] for cell in row) for row in table)
-    return "\n".join(lines) + "\n"

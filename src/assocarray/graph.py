@@ -15,7 +15,6 @@ the criteria module show each check is needed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -118,13 +117,6 @@ def adjacency(
     )
 
 
-def reverse(g: Graph) -> Graph:
-    """Swap every edge's sources and targets."""
-    return tuple(
-        EdgeRecord(key=e.key, sources=e.targets, targets=e.sources) for e in g
-    )
-
-
 def reverse_adjacency(p: IncidencePair, alg: Algebra) -> AssociativeArray:
     """Adjacency of the reversed graph, from the same incidence pair."""
     return matmul(transpose(p.e_in), p.e_out, alg)
@@ -146,24 +138,6 @@ def adjacency_oracle(p: IncidencePair) -> frozenset[tuple[str, str]]:
             for y in in_cols:
                 pairs.add((x, y))
     return frozenset(pairs)
-
-
-def random_graph(alg: Algebra, rng: random.Random) -> Graph:
-    """Draw a graph with nonzero weights, allowing self-loops, parallel edges,
-    and the occasional hyperedge: 1 to 8 vertices, 0 to 20 edges."""
-    n_vertices = rng.randint(1, 8)
-    vertices = [f"v{i}" for i in range(n_vertices)]
-    n_edges = rng.randint(0, 20)
-    edges = []
-    for i in range(n_edges):
-        sources = {rng.choice(vertices): alg.sample_nonzero(rng)}
-        if rng.random() < 0.1:
-            sources.setdefault(rng.choice(vertices), alg.sample_nonzero(rng))
-        targets = {rng.choice(vertices): alg.sample_nonzero(rng)}
-        if rng.random() < 0.1:
-            targets.setdefault(rng.choice(vertices), alg.sample_nonzero(rng))
-        edges.append(EdgeRecord(key=f"e{i:02d}", sources=sources, targets=targets))
-    return tuple(edges)
 
 
 # --- set-valued document arrays ---------------------------------------------
@@ -245,14 +219,3 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
             f"({violation.row_a}, {violation.col_b})"
         )
     return matmul(transpose(E), E, alg)
-
-
-def check_transpose_identity(A: AssociativeArray, B: AssociativeArray, alg: Algebra) -> bool:
-    """Whether transposing the product equals the reversed product of transposes.
-
-    Holds for commutative times; a non-commutative table breaks it already on
-    1x1 arrays.
-    """
-    lhs = transpose(matmul(A, B, alg))
-    rhs = matmul(transpose(B), transpose(A), alg)
-    return lhs == rhs

@@ -6,16 +6,23 @@ from pathlib import Path
 import pytest
 
 from assocarray import (
+    Algebra,
+    AssociativeArray,
+    EdgeRecord,
+    Graph,
+    ValidationError,
     adjacency,
     adjacency_oracle,
+    encode_value,
     from_finite_spec,
     incidence_arrays,
     make_builtin,
+    matmul,
     parse_finite_algebra,
-    random_graph,
-    reverse,
     reverse_adjacency,
+    transpose,
 )
+from assocarray.array import check_key
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -78,6 +85,76 @@ def stored_pairs_matmul(a_entries, b_entries, alg):
             terms.setdefault((i, j), []).append(alg.times_op(a_ik, b_kj))
     folded = {ij: functools.reduce(alg.plus_op, ts) for ij, ts in terms.items()}
     return {ij: v for ij, v in folded.items() if v != alg.zero}
+
+
+def random_graph(alg: Algebra, rng: random.Random) -> Graph:
+    """Draw a graph with nonzero weights, allowing self-loops, parallel edges,
+    and the occasional hyperedge: 1 to 8 vertices, 0 to 20 edges."""
+    n_vertices = rng.randint(1, 8)
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    n_edges = rng.randint(0, 20)
+    edges = []
+    for i in range(n_edges):
+        sources = {rng.choice(vertices): alg.sample_nonzero(rng)}
+        if rng.random() < 0.1:
+            sources.setdefault(rng.choice(vertices), alg.sample_nonzero(rng))
+        targets = {rng.choice(vertices): alg.sample_nonzero(rng)}
+        if rng.random() < 0.1:
+            targets.setdefault(rng.choice(vertices), alg.sample_nonzero(rng))
+        edges.append(EdgeRecord(key=f"e{i:02d}", sources=sources, targets=targets))
+    return tuple(edges)
+
+
+def reverse(g: Graph) -> Graph:
+    """Swap every edge's sources and targets."""
+    return tuple(
+        EdgeRecord(key=e.key, sources=e.targets, targets=e.sources) for e in g
+    )
+
+
+def check_transpose_identity(A: AssociativeArray, B: AssociativeArray, alg: Algebra) -> bool:
+    """Whether transposing the product equals the reversed product of transposes.
+
+    Holds for commutative times; a non-commutative table breaks it already on
+    1x1 arrays.
+    """
+    lhs = transpose(matmul(A, B, alg))
+    rhs = matmul(transpose(B), transpose(A), alg)
+    return lhs == rhs
+
+
+def check_invariants(arr: AssociativeArray, alg: Algebra | None = None) -> None:
+    """Raise ValidationError if the array's structural invariants are broken.
+
+    Checks sorted unique key sets, agreement between key sets and stored
+    entries, well-formed keys, and (when an algebra is given) that no stored
+    value equals its zero and every stored value is a carrier member.
+    """
+    if list(arr.row_keys) != sorted(set(arr.row_keys)):
+        raise ValidationError("row keys are not sorted and unique")
+    if list(arr.col_keys) != sorted(set(arr.col_keys)):
+        raise ValidationError("column keys are not sorted and unique")
+    if list(arr.rows) != list(arr.row_keys):
+        raise ValidationError("stored rows do not match the row key set")
+    cols_seen: set[str] = set()
+    for r, cols in arr.rows.items():
+        check_key(r)
+        if not cols:
+            raise ValidationError(f"row {r!r} has no stored entries")
+        if list(cols) != sorted(cols):
+            raise ValidationError(f"row {r!r} columns are not sorted")
+        for c, v in cols.items():
+            check_key(c)
+            cols_seen.add(c)
+            if alg is not None:
+                if not alg.contains_op(v):
+                    raise ValidationError(
+                        f"stored value {encode_value(v)} at ({r}, {c}) is outside the carrier"
+                    )
+                if v == alg.zero:
+                    raise ValidationError(f"stored zero at ({r}, {c})")
+    if cols_seen != set(arr.col_keys):
+        raise ValidationError("column key set does not match stored entries")
 
 
 def load_algebra_file(name):

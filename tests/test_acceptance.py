@@ -18,7 +18,6 @@ from assocarray import (
     Value,
     adjacency,
     adjacency_oracle,
-    check_transpose_identity,
     check_word_consistency,
     demonstrate,
     document_adjacency,
@@ -49,6 +48,7 @@ from assocarray.values import TEXT, TOP_PAYLOAD
 from conftest import (
     CERTIFIED_SPECS,
     CORPUS_GRAPHS_PER_ALGEBRA,
+    check_transpose_identity,
     dense_matmul,
     entries_of,
     load_algebra_file,

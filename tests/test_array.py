@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     DATA_DIR,
     FIELD_BREAKS,
+    check_invariants,
     dense_matmul,
     entries_of,
     load_algebra_file,
@@ -19,7 +20,6 @@ from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import (
     AssociativeArray,
     _build,
-    check_invariants,
     check_key,
     empty,
     ewise_add,

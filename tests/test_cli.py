@@ -237,6 +237,18 @@ def test_witness_criterion_1_needs_a_nonzero_one(capsys, tmp_path):
     assert err == "construction needs a nonzero one for the in-weights\n"
 
 
+def test_witness_criterion_1_needs_the_in_weights_to_keep_the_cancellation(capsys, tmp_path):
+    # 1 plus 1 is 0, but times is constant 0, so one is no right identity:
+    # the parallel edges' entry is 1*1 + 1*1 = 0 + 0 = 1, and nothing cancels.
+    alg = two_element_table(tmp_path, "0,0\n0,0", plus="1,0\n0,0")
+    code, out, err = run(capsys, "witness", "1", "--algebra", alg)
+    assert (code, out) == (1, "")
+    assert err == (
+        "construction needs 1*1 + 1*1 to be zero for the in-weights, got 1 in two\n"
+    )
+    assert "Traceback" not in err and "InternalConsistencyError" not in err
+
+
 def test_witness_refused_when_criterion_passes(capsys):
     code, out, err = run(capsys, "witness", "1", "--algebra", "natural")
     assert code == 1

@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocarray.algebra import (
     CHECK_CRITERION1,
@@ -9,9 +12,12 @@ from assocarray.algebra import (
     CHECK_CRITERION3,
     CHECK_IDENTITY,
     Algebra,
+    FiniteAlgebraSpec,
+    from_finite_spec,
     make_builtin,
 )
 from assocarray.array import support
+from assocarray.cli import _WITNESSES
 from assocarray.criteria import (
     WitnessCase,
     _violates,
@@ -28,9 +34,15 @@ from assocarray.errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from assocarray.graph import EdgeRecord
+from assocarray.graph import (
+    EdgeRecord,
+    adjacency,
+    adjacency_oracle,
+    incidence_arrays,
+    reverse_adjacency,
+)
 from assocarray.values import Value
-from conftest import DATA_DIR, GOLDEN_DIR, load_algebra_file
+from conftest import DATA_DIR, GOLDEN_DIR, load_algebra_file, random_graph, reverse
 
 
 def test_finite_verdicts_are_exhaustive(powerset_xy):
@@ -427,3 +439,65 @@ def test_validate_verdicts_and_sampled_witnesses_match_golden():
     # The golden predates the shared check driver; a diff here means the
     # candidate order or the sampler's draw order changed.
     assert validate_golden_text() == (GOLDEN_DIR / "validate_seeds.txt").read_text()
+
+
+# --- the claim over every small table algebra --------------------------------
+
+
+def table_algebra(n, one_index, plus_table, times_table):
+    spec = FiniteAlgebraSpec(
+        elements=tuple(Value.number(i) for i in range(n)),
+        zero_index=0,
+        one_index=one_index,
+        plus_table=plus_table,
+        times_table=times_table,
+    )
+    return from_finite_spec(spec, name="swept")
+
+
+def assert_the_claim_holds(alg, graphs):
+    """Every failing criterion ends in a mismatch or a refusal, never in an
+    InternalConsistencyError, and a certified algebra's product support equals
+    the oracle in both directions on seeded random graphs."""
+    report = validate(alg)
+    for criterion, build in _WITNESSES.items():
+        verdict = report.verdicts[f"criterion{criterion}"]
+        if verdict.passed:
+            continue
+        try:
+            wc = build(*verdict.witness, alg)
+        except PreconditionError:
+            continue
+        demonstrate(wc, alg)  # raises InternalConsistencyError on no mismatch
+    if report.certified:
+        rng = random.Random(0)
+        for _ in range(graphs):
+            g = random_graph(alg, rng)
+            pair = incidence_arrays(g, alg)
+            assert support(adjacency(pair, alg)) == adjacency_oracle(pair)
+            reversed_pair = incidence_arrays(reverse(g), alg)
+            assert support(reverse_adjacency(pair, alg)) == adjacency_oracle(reversed_pair)
+    return report.certified
+
+
+def test_the_claim_holds_on_every_two_element_algebra():
+    # Zero is 0 and one is either element: 2 x 16 x 16 algebras.
+    tables = list(itertools.product(itertools.product(range(2), repeat=2), repeat=2))
+    certified = [
+        (one, plus, times)
+        for one in range(2)
+        for plus in tables
+        for times in tables
+        if assert_the_claim_holds(table_algebra(2, one, plus, times), graphs=200)
+    ]
+    # or/and with one = 1 is the only certified algebra on two elements
+    assert certified == [(1, ((0, 1), (1, 1)), ((0, 0), (0, 1)))]
+
+
+three_element_tables = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2), three_element_tables, three_element_tables)
+def test_the_claim_holds_on_three_element_algebras(one, plus, times):
+    assert_the_claim_holds(table_algebra(3, one, plus, times), graphs=20)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from assocarray.algebra import from_finite_spec, make_builtin
+from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import check_key, from_triples
 from assocarray.errors import ValidationError
 from assocarray.fileio import (
@@ -18,11 +18,25 @@ from assocarray.fileio import (
     parse_triples,
     read_text,
     serialize_edge_list,
-    serialize_finite_algebra,
     serialize_triples,
 )
-from assocarray.graph import EdgeRecord, incidence_arrays, random_graph
+from assocarray.graph import EdgeRecord, incidence_arrays
 from assocarray.values import Value, encode_value
+from conftest import random_graph
+
+
+def serialize_finite_algebra(spec: FiniteAlgebraSpec) -> str:
+    """Emit the table format that parse_finite_algebra reads."""
+    names = [encode_value(v) for v in spec.elements]
+    lines = [
+        "elements: " + ",".join(names),
+        f"zero: {names[spec.zero_index]}",
+        f"one: {names[spec.one_index]}",
+    ]
+    for which, table in (("plus", spec.plus_table), ("times", spec.times_table)):
+        lines.append(f"{which}:")
+        lines.extend(",".join(names[cell] for cell in row) for row in table)
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_triples_basic(naturals):

@@ -2,12 +2,19 @@ import random
 import time
 
 import pytest
-from conftest import DATA_DIR, load_algebra_file
+from conftest import (
+    DATA_DIR,
+    check_invariants,
+    check_transpose_identity,
+    load_algebra_file,
+    random_graph,
+    reverse,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocarray.algebra import Algebra, make_builtin
-from assocarray.array import check_invariants, empty, from_triples, support
+from assocarray.array import empty, from_triples, support
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.graph import (
     EdgeRecord,
@@ -15,12 +22,9 @@ from assocarray.graph import (
     WordOverlapViolation,
     adjacency,
     adjacency_oracle,
-    check_transpose_identity,
     check_word_consistency,
     document_adjacency,
     incidence_arrays,
-    random_graph,
-    reverse,
     reverse_adjacency,
     shared_words_array,
 )
