@@ -351,6 +351,15 @@ def _max_min_strings() -> Algebra:
             return False
         return v.payload == TOP_PAYLOAD or bool(_ALNUM_RE.fullmatch(v.payload))
 
+    def decode_op(text: str) -> Value:
+        # digit-only names stay strings here, so no decode_any dispatch, and
+        # a literal U+FFFF in the text is not <TOP>
+        if text == TOP_ENCODING:
+            return top
+        if _ALNUM_RE.fullmatch(text):
+            return Value(TEXT, text)
+        raise ValueError(f"{text!r} is not an alphanumeric string value")
+
     def sample_op(rng: random.Random) -> Value:
         r = rng.random()
         if r < 0.05:
@@ -367,13 +376,7 @@ def _max_min_strings() -> Algebra:
         plus_op=_max,
         times_op=_min,
         contains_op=member,
-        decode_op=_decoder(
-            # digit-only names stay strings here, so no decode_any dispatch
-            lambda text: top if text == TOP_ENCODING else Value(TEXT, text),
-            # top by identity: a literal U+FFFF in the text is not <TOP>
-            lambda v: v is top or bool(_ALNUM_RE.fullmatch(v.payload)),
-            "is not an alphanumeric string value",
-        ),
+        decode_op=decode_op,
         sample_op=sample_op,
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string

@@ -64,18 +64,22 @@ def _build(rows: Mapping[str, Mapping[str, Value]], alg: Algebra) -> Associative
     # one sparsity rule.  Both levels are copied, so no caller's map is aliased.
     zero = alg.zero
     built: dict[str, dict[str, Value]] = {}
-    col_seen: set[str] = set()
     for r in sorted(rows):
         cols = dict(sorted(rows[r].items()))
         if zero in cols.values():
             cols = {c: v for c, v in cols.items() if v != zero}
         if cols:
             built[r] = cols
-            col_seen.update(cols)
+    return _from_sorted_rows(built)
+
+
+def _from_sorted_rows(rows: dict[str, dict[str, Value]]) -> AssociativeArray:
+    # rows and each row's columns are already in ascending order, with no
+    # zero and no empty row; the array takes ``rows`` itself, uncopied.
     return AssociativeArray(
-        rows=built,
-        row_keys=tuple(built),
-        col_keys=tuple(sorted(col_seen)),
+        rows=rows,
+        row_keys=tuple(rows),
+        col_keys=tuple(sorted(set().union(*rows.values()))),
     )
 
 

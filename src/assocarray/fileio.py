@@ -124,47 +124,60 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
     sources: dict[str, dict[str, Value]] = {}
     targets: dict[str, dict[str, Value]] = {}
     # texts that passed, so each distinct text is checked or decoded once;
-    # a failing text is never stored and raises on the first line holding it
+    # a failing text is never stored and raises on the first line holding it.
+    # An omitted weight is the text None, which means one unless one is zero.
     keys: set[str] = set()
-    weights_of: dict[str, Value] = {}
+    weights_of: dict[str | None, Value] = {} if alg.one == alg.zero else {None: alg.one}
+
+    def new_weight(line_no: int, label: str, raw: str | None) -> Value:
+        if raw is None:
+            raise ParseError(role, line_no, label, (
+                f"weight omitted, and its default one equals zero in {alg.name}; "
+                "write the weight"
+            ))
+        w = _field(role, line_no, label, alg.decode_op, raw)
+        if w == alg.zero:
+            raise ParseError(role, line_no, label, "zero weight is forbidden")
+        weights_of[raw] = w
+        return w
+
+    def conflict(line_no: int, label: str, vertex: str, old: Value, w: Value) -> ParseError:
+        return ParseError(
+            role, line_no, f"{label} vertex {vertex!r}",
+            f"conflicting weights {encode_value(old)} and {encode_value(w)}",
+        )
+
     for line_no, line in _logical_lines(text):
         fields = line.split("\t")
-        if not 3 <= len(fields) <= 5:
+        n = len(fields)
+        if not 3 <= n <= 5:
             raise ParseError(
-                role, line_no, "line",
-                f"expected 3 to 5 tab-separated fields, got {len(fields)}",
+                role, line_no, "line", f"expected 3 to 5 tab-separated fields, got {n}",
             )
-        for label, raw in zip(("edge key", "source vertex", "target vertex"), fields):
-            if raw not in keys:
-                keys.add(_field(role, line_no, label, check_key, raw))
-        key, src, dst = fields[:3]
-        weights = []
-        for label, raw in (("out_value", fields[3:4]), ("in_value", fields[4:5])):
-            if not raw:
-                w = alg.one
-                if w == alg.zero:
-                    raise ParseError(role, line_no, label, (
-                        f"weight omitted, and its default one equals zero in {alg.name}; "
-                        "write the weight"
-                    ))
-            elif (w := weights_of.get(raw[0])) is None:
-                w = _field(role, line_no, label, alg.decode_op, raw[0])
-                if w == alg.zero:
-                    raise ParseError(role, line_no, label, "zero weight is forbidden")
-                weights_of[raw[0]] = w
-            weights.append(w)
-        out_w, in_w = weights
-        for side, vertex, w, label in (
-            (sources.setdefault(key, {}), src, out_w, "source"),
-            (targets.setdefault(key, {}), dst, in_w, "target"),
-        ):
-            if vertex in side and side[vertex] != w:
-                raise ParseError(
-                    role, line_no, f"{label} vertex {vertex!r}",
-                    f"conflicting weights {encode_value(side[vertex])} and {encode_value(w)}",
-                )
-            side[vertex] = w
-    return tuple(EdgeRecord(key=k, sources=side, targets=targets[k]) for k, side in sources.items())
+        key, src, dst = fields[0], fields[1], fields[2]
+        if key not in keys:
+            keys.add(_field(role, line_no, "edge key", check_key, key))
+        if src not in keys:
+            keys.add(_field(role, line_no, "source vertex", check_key, src))
+        if dst not in keys:
+            keys.add(_field(role, line_no, "target vertex", check_key, dst))
+        raw = fields[3] if n > 3 else None
+        if (out_w := weights_of.get(raw)) is None:
+            out_w = new_weight(line_no, "out_value", raw)
+        raw = fields[4] if n > 4 else None
+        if (in_w := weights_of.get(raw)) is None:
+            in_w = new_weight(line_no, "in_value", raw)
+        if key in sources:
+            out_side, in_side = sources[key], targets[key]
+        else:
+            out_side = sources[key] = {}
+            in_side = targets[key] = {}
+        # a restated endpoint keeps its first weight, which must equal the new
+        if (old := out_side.setdefault(src, out_w)) is not out_w and old != out_w:
+            raise conflict(line_no, "source", src, old, out_w)
+        if (old := in_side.setdefault(dst, in_w)) is not in_w and old != in_w:
+            raise conflict(line_no, "target", dst, old, in_w)
+    return tuple(EdgeRecord(k, side, targets[k]) for k, side in sources.items())
 
 
 def serialize_edge_list(g: Graph) -> str:

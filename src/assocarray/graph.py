@@ -16,13 +16,14 @@ the criteria module show each check is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .algebra import Algebra, make_builtin
 from .array import (
     AssociativeArray,
     Triple,
-    _build,
+    _from_sorted_rows,
     check_key,
     from_triples,
     matmul,
@@ -64,14 +65,13 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
     structural edge with an unstored weight would make the sparsity pattern
     lie about the graph.
     """
-    out_rows: dict[str, Mapping[str, Value]] = {}
-    in_rows: dict[str, Mapping[str, Value]] = {}
+    keys: set[str] = set()  # edge keys seen so far
     vertices: set[str] = set()  # vertex keys that passed check_key
     for edge in g:
         check_key(edge.key)
-        if edge.key in out_rows:
+        if edge.key in keys:
             raise ValidationError(f"duplicate edge key {edge.key!r}")
-        out_rows[edge.key], in_rows[edge.key] = edge.sources, edge.targets
+        keys.add(edge.key)
         for side, name in ((edge.sources, "sources"), (edge.targets, "targets")):
             if not side:
                 raise ValidationError(f"edge {edge.key!r} has no {name}")
@@ -87,9 +87,23 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
                     raise ValidationError(
                         f"edge {edge.key!r} has zero weight at vertex {vertex!r}"
                     )
+    return _incidence_pair(g, alg)
+
+
+def _incidence_pair(g: Graph, alg: Algebra) -> IncidencePair:
+    """The incidence pair of a graph :func:`incidence_arrays` accepts, unchecked.
+
+    No weight is zero, so nothing is dropped.  ``alg`` is unused; the
+    signature is :func:`incidence_arrays`'s.  Both arrays have the edge keys
+    as rows, so the edges are sorted once, and each side map is copied sorted.
+    """
+    out_rows: dict[str, dict[str, Value]] = {}
+    in_rows: dict[str, dict[str, Value]] = {}
+    for edge in sorted(g, key=attrgetter("key")):
+        out_rows[edge.key] = dict(sorted(edge.sources.items()))
+        in_rows[edge.key] = dict(sorted(edge.targets.items()))
     return IncidencePair(
-        e_out=_build(out_rows, alg),
-        e_in=_build(in_rows, alg),
+        e_out=_from_sorted_rows(out_rows), e_in=_from_sorted_rows(in_rows)
     )
 
 

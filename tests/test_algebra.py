@@ -265,6 +265,19 @@ def test_strings_order_by_lexicographic_payload():
     assert s.decode("") == s.zero
 
 
+def test_strings_decode_top_as_the_one_sentinel():
+    s = make_builtin("max_min_strings")
+    assert s.decode("<TOP>") is s.one
+
+
+@pytest.mark.parametrize("text", ["\uffff", "a b", "\u00e9"])
+def test_strings_refuse_a_non_alphanumeric_text(text):
+    # a literal U+FFFF is the top's payload, but only <TOP> decodes to it
+    with pytest.raises(ValueError) as exc_info:
+        make_builtin("max_min_strings").decode(text)
+    assert str(exc_info.value) == f"{text!r} is not an alphanumeric string value"
+
+
 def test_sample_nonzero_never_returns_zero(builtin):
     rng = random.Random(11)
     for _ in range(50):

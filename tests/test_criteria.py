@@ -480,18 +480,43 @@ def assert_the_claim_holds(alg, graphs):
     return report.certified
 
 
-def test_the_claim_holds_on_every_two_element_algebra():
-    # Zero is 0 and one is either element: 2 x 16 x 16 algebras.
+def two_element_algebras():
+    """(one, plus, times) of every algebra on two elements where zero is 0:
+    one is either element, 2 x 16 x 16 in all."""
     tables = list(itertools.product(itertools.product(range(2), repeat=2), repeat=2))
+    return [(one, plus, times) for one in range(2) for plus in tables for times in tables]
+
+
+def test_the_claim_holds_on_every_two_element_algebra():
     certified = [
-        (one, plus, times)
-        for one in range(2)
-        for plus in tables
-        for times in tables
-        if assert_the_claim_holds(table_algebra(2, one, plus, times), graphs=200)
+        case
+        for case in two_element_algebras()
+        if assert_the_claim_holds(table_algebra(2, *case), graphs=200)
     ]
     # or/and with one = 1 is the only certified algebra on two elements
     assert certified == [(1, ((0, 1), (1, 1)), ((0, 0), (0, 1)))]
+
+
+def test_an_identity_failure_shows_in_the_support_of_all_but_one_two_element_algebra():
+    # A fact of the sweep, not a defect: witness has no identity case, and an
+    # algebra failing only the identity laws need not give a wrong support.
+    identity_only = [
+        case
+        for case in two_element_algebras()
+        if validate(table_algebra(2, *case)).failures() == (CHECK_IDENTITY,)
+    ]
+    assert len(identity_only) == 15
+
+    def support_differs(alg):
+        for seed in range(300):
+            pair = incidence_arrays(random_graph(alg, random.Random(seed)), alg)
+            if support(adjacency(pair, alg)) != adjacency_oracle(pair):
+                return True
+        return False
+
+    hidden = [case for case in identity_only if not support_differs(table_algebra(2, *case))]
+    # or/and with one = 0: no product reads one
+    assert hidden == [(0, ((0, 1), (1, 1)), ((0, 0), (0, 1)))]
 
 
 three_element_tables = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * 3)

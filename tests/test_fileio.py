@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from assocarray import cli
 from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import check_key, from_triples
 from assocarray.errors import ValidationError
@@ -22,7 +23,7 @@ from assocarray.fileio import (
 )
 from assocarray.graph import EdgeRecord, incidence_arrays
 from assocarray.values import Value, encode_value
-from conftest import random_graph
+from conftest import load_algebra_file, random_graph
 
 
 def serialize_finite_algebra(spec: FiniteAlgebraSpec) -> str:
@@ -264,14 +265,23 @@ def edge_list_st(weights):
         (make_builtin("natural_arithmetic"), edge_list_st(["1", "2", "0"])),
         (make_builtin("powerset", universe=["x", "y"]), edge_list_st(["{x}", "{x,y}", "{}"])),
         (make_builtin("natural_arithmetic"), edge_text_st),
+        (make_builtin("integer_ring"), edge_list_st(["1", "-1", "2", "0"])),
+        (make_builtin("max_plus_realzero"), edge_list_st(["1", "-2", "0"])),
+        (make_builtin("max_min_strings"), edge_list_st(["a", "b1", "<TOP>", ""])),
+        (load_algebra_file("annihilator_right"), edge_list_st(["1", "v", "0"])),
     ],
-    ids=["natural", "powerset", "natural-fuzz"],
+    ids=[
+        "natural", "powerset", "natural-fuzz",
+        "integer_ring", "max_plus_realzero", "max_min_strings", "annihilator_right",
+    ],
 )
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_parsed_edge_list_is_a_valid_graph_with_the_parsed_rows(alg, text_st, data):
     # parse_edge_list enforces every rule incidence_arrays checks, so the
-    # checked graph's rows are exactly the parsed per-edge maps.
+    # checked graph's rows are exactly the parsed per-edge maps, and the CLI's
+    # unchecked builder gives the same pair, equal to the triples construction
+    # in entries, iteration order and key sets.
     try:
         g = parse_edge_list(data.draw(text_st), alg)
     except ParseError:
@@ -279,6 +289,12 @@ def test_a_parsed_edge_list_is_a_valid_graph_with_the_parsed_rows(alg, text_st, 
     p = incidence_arrays(g, alg)
     assert p.e_out.rows == {e.key: e.sources for e in g}
     assert p.e_in.rows == {e.key: e.targets for e in g}
+    fast = cli.incidence_arrays(g, alg)
+    assert fast == p
+    for arr, side in ((fast.e_out, "sources"), (fast.e_in, "targets")):
+        ref = from_triples([(e.key, v, w) for e in g for v, w in getattr(e, side).items()], alg)
+        assert list(arr) == list(ref)
+        assert (arr.row_keys, arr.col_keys) == (ref.row_keys, ref.col_keys)
 
 
 def _parse_edge_list_unmemoized(text, alg, role="edge-list"):

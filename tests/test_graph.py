@@ -20,6 +20,7 @@ from assocarray.graph import (
     EdgeRecord,
     IncidencePair,
     WordOverlapViolation,
+    _incidence_pair,
     adjacency,
     adjacency_oracle,
     check_word_consistency,
@@ -112,6 +113,24 @@ def test_incidence_equals_the_triples_construction(name):
             triples = [(e.key, v, w) for e in g for v, w in getattr(e, side).items()]
             assert arr == from_triples(triples, alg)
             check_invariants(arr, alg)
+
+
+def test_incidence_sorts_unsorted_edges_and_sides(naturals):
+    # edge keys out of order, and hyperedge sides listing vertices out of order
+    g = (
+        EdgeRecord("k3", {"c": ONE, "a": Value.number(2)}, {"b": ONE}),
+        EdgeRecord("k1", {"b": ONE}, {"d": Value.number(3), "a": ONE, "c": ONE}),
+        EdgeRecord("k2", {"d": ONE}, {"a": Value.number(4)}),
+    )
+    for build in (incidence_arrays, _incidence_pair):
+        p = build(g, naturals)
+        for arr, side in ((p.e_out, "sources"), (p.e_in, "targets")):
+            expected = from_triples(
+                [(e.key, v, w) for e in g for v, w in getattr(e, side).items()], naturals
+            )
+            assert arr == expected
+            assert list(arr) == list(expected)
+            check_invariants(arr, naturals)
 
 
 def test_incidence_does_not_alias_the_graph(naturals):
