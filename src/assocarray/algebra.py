@@ -3,7 +3,8 @@
 An :class:`Algebra` bundles a carrier of :class:`~assocarray.values.Value`
 elements with two binary operations and their designated identity elements
 (``zero`` and ``one``).  ``zero`` doubles as the sparsity element: the array
-layer stores only values that differ from it.
+layer stores only values that differ from it.  The operations act on a native
+encoding of the carrier, so the hot loops never build a value per term.
 
 Carriers come in two shapes.  Finite carriers are enumerated outright and can
 be checked exhaustively; infinite ones carry a membership predicate plus a
@@ -15,10 +16,12 @@ an exact witness, so no reader has to hope a sampler trips over either.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, ValidationError
@@ -50,36 +53,57 @@ _MAX_CHAIN_LEVELS = 2**_POWERSET_ENUMERATION_LIMIT
 
 _ALNUM_RE = re.compile(r"[A-Za-z0-9]*")
 
-_Op = Callable[[Value, Value], Value]
 _Member = Callable[[Value], bool]
+
+
+def _same(x):
+    return x
 
 
 @dataclass(frozen=True)
 class Algebra:
     """A value set closed under two operations, with designated identities.
 
-    ``plus_op`` and ``times_op`` are total on the carrier and pure.  ``carrier``
-    is the finite enumeration or None for infinite families, in which case
-    ``sample_op`` must be supplied.  ``decode_op`` turns canonical text into a
-    carrier member and raises ValueError on anything else.
+    ``plus_op`` and ``times_op`` are total on the carrier and pure, and they
+    act on its natives: ``lower`` maps a carrier member to its native and
+    ``lift`` maps a native back.  The encoding is injective and natives are
+    hashable, so the product and the law checks compare natives alone.  The
+    builtin natives are:
+
+    - the payload ``int`` or ``Fraction`` for the number families and the
+      chain levels;
+    - the payload ``str`` for ``max_min_strings``;
+    - a bitmask over the sorted universe for ``powerset``;
+    - the element index for a table algebra from :func:`from_finite_spec`.
+
+    Both default to the identity, so an algebra built in code may give
+    operations on values.  :meth:`plus` and :meth:`times` are the checked
+    operations on values.
+
+    ``carrier`` is the finite enumeration or None for infinite families, in
+    which case ``sample_op`` must be supplied.  ``decode_op`` turns canonical
+    text into a carrier member and raises ValueError on anything else.
 
     ``proved`` names the checks that hold in closed form.  Like
     ``known_failures``, which maps each failing check to a witness, it
     describes ``plus_op`` and ``times_op``: a ``dataclasses.replace`` that
-    changes either operation must restate both.
+    changes either operation must restate both, and must keep ``lower`` and
+    ``lift`` the encoding its operations take.
     """
 
     name: str
     zero: Value
     one: Value
-    plus_op: Callable[[Value, Value], Value]
-    times_op: Callable[[Value, Value], Value]
+    plus_op: Callable[[object, object], object]
+    times_op: Callable[[object, object], object]
     contains_op: Callable[[Value], bool]
     decode_op: Callable[[str], Value]
     carrier: tuple[Value, ...] | None = None
     sample_op: Callable[[random.Random], Value] | None = None
     known_failures: Mapping[str, tuple[Value, ...]] = field(default_factory=dict)
     proved: frozenset[str] = frozenset()
+    lower: Callable[[Value], object] = _same
+    lift: Callable[[object], Value] = _same
 
     @property
     def is_finite(self) -> bool:
@@ -95,12 +119,12 @@ class Algebra:
     def plus(self, a: Value, b: Value) -> Value:
         self._require_member(a)
         self._require_member(b)
-        return self.plus_op(a, b)
+        return self.lift(self.plus_op(self.lower(a), self.lower(b)))
 
     def times(self, a: Value, b: Value) -> Value:
         self._require_member(a)
         self._require_member(b)
-        return self.times_op(a, b)
+        return self.lift(self.times_op(self.lower(a), self.lower(b)))
 
     def decode(self, text: str) -> Value:
         return self.decode_op(text)
@@ -169,19 +193,16 @@ class FiniteAlgebraSpec:
 
 
 def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
-    """Build a table-lookup algebra from a validated finite spec."""
+    """Build a table-lookup algebra from a validated finite spec.
+
+    Its natives are element indices, so each operation is one table cell.
+    """
     spec.validate()
     elements = spec.elements
     index = {v: i for i, v in enumerate(elements)}
     by_encoding = {encode_value(v): v for v in elements}
     plus_table = spec.plus_table
     times_table = spec.times_table
-
-    def plus_op(a: Value, b: Value) -> Value:
-        return elements[plus_table[index[a]][index[b]]]
-
-    def times_op(a: Value, b: Value) -> Value:
-        return elements[times_table[index[a]][index[b]]]
 
     def decode_op(text: str) -> Value:
         try:
@@ -193,34 +214,39 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
         name=name,
         zero=elements[spec.zero_index],
         one=elements[spec.one_index],
-        plus_op=plus_op,
-        times_op=times_op,
+        plus_op=lambda i, j: plus_table[i][j],
+        times_op=lambda i, j: times_table[i][j],
         contains_op=lambda v: v in index,
         decode_op=decode_op,
         carrier=elements,
+        lower=index.__getitem__,
+        lift=elements.__getitem__,
     )
 
 
 # --- builtin families -------------------------------------------------------
 
 
-# The operations the families are built from, each written once.  A sum or
-# product goes through Value.number, which makes a whole rational an int;
-# max and min return an operand and build no value.
-def _add(a: Value, b: Value) -> Value:
-    return Value.number(a.payload + b.payload)  # type: ignore[operator]
+# The number families, the chain and the strings take a value's payload as
+# its native.  Max and min are written out: the builtins cost three times as
+# much per call.
+_payload = operator.attrgetter("payload")
 
 
-def _mul(a: Value, b: Value) -> Value:
-    return Value.number(a.payload * b.payload)  # type: ignore[operator]
+def _max(a, b):
+    return a if a >= b else b
 
 
-def _max(a: Value, b: Value) -> Value:
-    return a if a.payload >= b.payload else b  # type: ignore[operator]
+def _min(a, b):
+    return a if a <= b else b
 
 
-def _min(a: Value, b: Value) -> Value:
-    return a if a.payload <= b.payload else b  # type: ignore[operator]
+def _lift_number(x: int | Fraction) -> Value:
+    # Value.number without the type checks a native always passes: a whole
+    # rational lifts to its int
+    if type(x) is not int and x.denominator == 1:
+        x = x.numerator
+    return Value(NUMBER, x)
 
 
 def _decoder(parse: Callable[[str], Value], member: _Member, reason: str) -> Callable[[str], Value]:
@@ -239,13 +265,17 @@ def _is_int(v: Value) -> bool:
     return v.kind == NUMBER and isinstance(v.payload, int)
 
 
-def _numbers(name: str, member: _Member, one: int, ops: tuple[_Op, _Op], draw, **laws) -> Algebra:
-    """A number family: zero 0, number-literal text, ``draw`` lifted to a sampler."""
+def _numbers(
+    name: str, member: _Member, one: int, ops: tuple[Callable, Callable], draw, **laws
+) -> Algebra:
+    """A number family: zero 0, number-literal text, ``draw`` lifted to a sampler,
+    and ``ops`` on payloads."""
     return Algebra(
         name=name, zero=Value.number(0), one=Value.number(one),
         plus_op=ops[0], times_op=ops[1], contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not in the carrier of {name}"),
         sample_op=lambda rng: Value.number(draw(rng)),
+        lower=_payload, lift=_lift_number,
         **laws,
     )
 
@@ -253,7 +283,7 @@ def _numbers(name: str, member: _Member, one: int, ops: tuple[_Op, _Op], draw, *
 def _natural() -> Algebra:
     return _numbers(
         "natural_arithmetic", lambda v: _is_int(v) and v.payload >= 0,
-        one=1, ops=(_add, _mul), draw=lambda rng: rng.randint(0, 20),
+        one=1, ops=(operator.add, operator.mul), draw=lambda rng: rng.randint(0, 20),
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
             CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
@@ -266,7 +296,8 @@ def _natural() -> Algebra:
 def _nonneg_rational() -> Algebra:
     return _numbers(
         "nonneg_rational_arithmetic", lambda v: v.kind == NUMBER and v.payload >= 0,
-        one=1, ops=(_add, _mul), draw=lambda rng: Fraction(rng.randint(0, 10), rng.randint(1, 10)),
+        one=1, ops=(operator.add, operator.mul),
+        draw=lambda rng: Fraction(rng.randint(0, 10), rng.randint(1, 10)),
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
             CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
@@ -279,7 +310,7 @@ def _nonneg_rational() -> Algebra:
 def _integer_ring() -> Algebra:
     return _numbers(
         "integer_ring", _is_int,
-        one=1, ops=(_add, _mul), draw=lambda rng: rng.randint(-10, 10),
+        one=1, ops=(operator.add, operator.mul), draw=lambda rng: rng.randint(-10, 10),
         known_failures={CHECK_CRITERION1: (Value.number(1), Value.number(-1))},
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
@@ -299,7 +330,7 @@ def _max_plus_realzero() -> Algebra:
     """
     return _numbers(
         "max_plus_realzero", _is_int,
-        one=0, ops=(_max, _add), draw=lambda rng: rng.randint(-10, 10),
+        one=0, ops=(_max, operator.add), draw=lambda rng: rng.randint(-10, 10),
         known_failures={
             CHECK_IDENTITY: (Value.number(-1),),
             CHECK_CRITERION2: (Value.number(5), Value.number(-5)),
@@ -328,6 +359,8 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
         contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not a level of {name}"),
         carrier=carrier,
+        lower=_payload,
+        lift=carrier.__getitem__,  # level i is carrier[i]
         proved=frozenset({
             CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is the bottom only when a or b is
@@ -378,6 +411,8 @@ def _max_min_strings() -> Algebra:
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
+        lower=_payload,
+        lift=partial(Value, TEXT),
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
@@ -414,46 +449,20 @@ def _powerset(universe: Sequence[str]) -> Algebra:
             chosen = [t for t in toks if rng.random() < 0.5]
             return Value(TOKENS, tuple(chosen))
 
-    # Union and intersection run on bitmasks over the sorted universe.  Each
-    # result set is built once and interned, so equal results are one Value.
-    # The tables belong to this algebra and grow only with the sets it sees.
-    zero = Value(TOKENS, ())
-    one = Value(TOKENS, tuple(toks))
+    # A subset's native is its bitmask over the sorted universe.
     bit = {t: 1 << i for i, t in enumerate(toks)}
-    full = (1 << len(toks)) - 1
-    masks: dict[object, int] = {zero.payload: 0, one.payload: full}
-    interned: dict[int, Value] = {full: one, 0: zero}  # over no tokens, full is 0: zero wins
 
-    def mask(v: Value) -> int:
-        m = masks.get(v.payload)
-        if m is None:
-            m = masks[v.payload] = sum(bit[t] for t in v.payload)
-        return m
+    def lower(v: Value) -> int:
+        return sum(map(bit.__getitem__, v.payload))
 
-    def result(m: int) -> Value:
-        v = interned.get(m)
-        if v is None:
-            # walk the set bits lowest first, so the tokens come out sorted
-            members = []
-            rest = m
-            while rest:
-                low = rest & -rest
-                members.append(toks[low.bit_length() - 1])
-                rest ^= low
-            v = interned[m] = Value(TOKENS, tuple(members))
-        return v
-
-    def union(a: Value, b: Value) -> Value:
-        try:
-            return interned[masks[a.payload] | masks[b.payload]]
-        except KeyError:  # an operand or the result not seen before
-            return result(mask(a) | mask(b))
-
-    def intersection(a: Value, b: Value) -> Value:
-        try:
-            return interned[masks[a.payload] & masks[b.payload]]
-        except KeyError:
-            return result(mask(a) & mask(b))
+    def lift(m: int) -> Value:
+        # walk the set bits lowest first, so the tokens come out sorted
+        members = []
+        while m:
+            low = m & -m
+            members.append(toks[low.bit_length() - 1])
+            m ^= low
+        return Value(TOKENS, tuple(members))
 
     # {t0} and {t1} are disjoint: the pair the exhaustive search finds first,
     # and one a sampler over a large universe would almost never draw.
@@ -463,15 +472,17 @@ def _powerset(universe: Sequence[str]) -> Algebra:
 
     return Algebra(
         name=name,
-        zero=zero,
-        one=one,
-        plus_op=union,
-        times_op=intersection,
+        zero=Value(TOKENS, ()),
+        one=Value(TOKENS, tuple(toks)),
+        plus_op=operator.or_,
+        times_op=operator.and_,
         contains_op=member,
         decode_op=_decoder(parse_token_set, member, f"has tokens outside the universe of {name}"),
         carrier=carrier,
         sample_op=sample_op,
         known_failures=known_failures,
+        lower=lower,
+        lift=lift,
         proved=frozenset({
             CHECK_IDENTITY,  # {} | x = x and universe & x = x for every subset x
             CHECK_CRITERION1,  # a | b = {} only when a = b = {}

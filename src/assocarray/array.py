@@ -24,6 +24,8 @@ from .values import Value, encode_value, _has_field_break
 
 Triple = tuple[str, str, Value]
 
+_UNSEEN = object()  # a memo's marker for a key not yet seen
+
 
 def check_key(key: str) -> str:
     if not isinstance(key, str) or not key:
@@ -103,7 +105,7 @@ def from_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
                 f"value {encode_value(v)} at ({r}, {c}) is outside the carrier of {alg.name}"
             )
         row = rows.setdefault(r, {})
-        row[c] = alg.plus_op(row[c], v) if c in row else v
+        row[c] = alg.lift(alg.plus_op(alg.lower(row[c]), alg.lower(v))) if c in row else v
     return _build(rows, alg)
 
 
@@ -129,11 +131,14 @@ def transpose(arr: AssociativeArray) -> AssociativeArray:
 
 
 def _ewise(
-    a: AssociativeArray, b: AssociativeArray, alg: Algebra, op: Callable[[Value, Value], Value]
+    a: AssociativeArray, b: AssociativeArray, alg: Algebra, op: Callable
 ) -> AssociativeArray:
+    lower, z = alg.lower, alg.lower(alg.zero)
     rows: dict[str, dict[str, Value]] = {}
     for r, c in support(a) | support(b):
-        rows.setdefault(r, {})[c] = op(get(a, r, c, alg), get(b, r, c, alg))
+        v = op(lower(get(a, r, c, alg)), lower(get(b, r, c, alg)))
+        if v != z:
+            rows.setdefault(r, {})[c] = alg.lift(v)
     return _build(rows, alg)
 
 
@@ -156,8 +161,9 @@ def ewise_mult(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> Associ
     return _ewise(a, b, alg, alg.times_op)
 
 
-def _run(plus: Callable[[Value, Value], Value], acc: Value, t00: Value, r: int) -> Value:
-    """Apply ``acc <- plus(acc, t00)`` r times, stopping early at a fixed point."""
+def _run(plus: Callable, acc, t00, r: int):
+    """Apply ``acc <- plus(acc, t00)`` r times on natives, stopping early at a
+    fixed point."""
     for _ in range(r):
         nxt = plus(acc, t00)
         if nxt == acc:
@@ -178,10 +184,10 @@ def _zero_is_inert(alg: Algebra) -> bool:
         return True
     if not alg.is_finite:
         return False
-    plus, times, zero = alg.plus_op, alg.times_op, alg.zero
+    plus, times, z = alg.plus_op, alg.times_op, alg.lower(alg.zero)
     return all(
-        plus(zero, x) == x == plus(x, zero) and times(zero, x) == zero == times(x, zero)
-        for x in alg.carrier
+        plus(z, x) == x == plus(x, z) and times(z, x) == z == times(x, z)
+        for x in map(alg.lower, alg.carrier)
     )
 
 
@@ -200,9 +206,14 @@ def matmul(
     read as zero.  The result is always exactly that fold; the loop that
     computes it is chosen from the algebra's laws.
 
+    Both loops run on the algebra's natives: each stored value is lowered
+    where it is read, zeros are dropped by comparing natives, and only the
+    results that are stored are lifted back to values.
+
     When zero is proved inert (a two-sided plus identity and a two-sided
     times annihilator), every term with an unstored factor is zero and folds
-    away, so the row-wise loop (Gustavson's) runs over stored pairs alone.
+    away, so the row-wise loop (Gustavson's) runs over stored pairs alone,
+    and a stored pair whose product is zero folds away too.
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
     are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
@@ -217,31 +228,53 @@ def matmul(
     """
     out_rows = sorted(set(a.row_keys) | {check_key(k) for k in extra_row_keys})
     out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
-    plus, times, zero = alg.plus_op, alg.times_op, alg.zero
+    plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
+    z = lower(alg.zero)
     a_rows, b_rows = a.rows, b.rows
     rows: dict[str, dict[str, Value]] = {}
     if _zero_is_inert(alg):
+        # Each stored value of b is lowered once, when first reached: ``low``
+        # maps its id to its native, and b keeps every value alive meanwhile.
+        # ``seen`` maps the natives of both operands back to their values, so
+        # that a result equal to an operand, as every max or min is, is stored
+        # without building a value.
+        low: dict[int, object] = {}
+        seen: dict[object, Value] = {}
         for i in out_rows:
-            acc: dict[str, Value] = {}
+            acc: dict[str, object] = {}
             for k, a_ik in a_rows.get(i, {}).items():  # ascending: rows store sorted columns
                 b_row = b_rows.get(k)
                 if not b_row:
                     continue
+                x = lower(a_ik)
+                seen[x] = a_ik
                 for j, b_kj in b_row.items():
-                    term = times(a_ik, b_kj)
-                    acc[j] = plus(acc[j], term) if j in acc else term
-            rows[i] = acc
-        return _build(rows, alg)
+                    y = low.get(id(b_kj), _UNSEEN)
+                    if y is _UNSEEN:
+                        y = low[id(b_kj)] = lower(b_kj)
+                        seen[y] = b_kj
+                    term = times(x, y)
+                    if term != z:  # a zero term folds away, zero being a plus identity
+                        acc[j] = plus(acc[j], term) if j in acc else term
+            row = {}
+            for j, v in sorted(acc.items()):
+                if v != z:
+                    w = seen.get(v)
+                    row[j] = lift(v) if w is None else w
+            if row:
+                rows[i] = row
+        return _from_sorted_rows(rows)
 
     inner = sorted(set(a.col_keys) | set(b.row_keys))
     if not inner:
         return empty()  # every fold is over no terms
     position = {k: p for p, k in enumerate(inner)}
-    t00 = times(zero, zero)
+    t00 = times(z, z)
+    low_b = {k: {j: lower(b_kj) for j, b_kj in b_row.items()} for k, b_row in b_rows.items()}
     # zero times b(k, j), shared by every row that does not store a(i, k).
-    zero_b: dict[str, dict[str, Value]] = {}
-    for k, b_row in b_rows.items():
-        zero_row = {j: t for j, b_kj in b_row.items() if (t := times(zero, b_kj)) != t00}
+    zero_b: dict[str, dict[str, object]] = {}
+    for k, b_row in low_b.items():
+        zero_row = {j: t for j, y in b_row.items() if (t := times(z, y)) != t00}
         if zero_row:
             zero_b[k] = zero_row
     last = len(inner) - 1
@@ -257,12 +290,12 @@ def matmul(
             if k not in a_row:
                 terms = zero_b[k].items()
             else:
-                a_ik, b_row = a_row[k], b_rows.get(k, {})
-                u = times(a_ik, zero)
+                x, b_row = lower(a_row[k]), low_b.get(k, {})
+                u = times(x, z)
                 if u == t00:  # events only where b(k, j) is stored
-                    terms = ((j, times(a_ik, b_kj)) for j, b_kj in b_row.items())
+                    terms = ((j, times(x, y)) for j, y in b_row.items())
                 else:
-                    terms = [(j, times(a_ik, b_row[j]) if j in b_row else u) for j in out_cols]
+                    terms = [(j, times(x, b_row[j]) if j in b_row else u) for j in out_cols]
             for j, t in terms:
                 s = folds.get(j)
                 if s is None:
@@ -271,8 +304,12 @@ def matmul(
                     gap = p - s[1] - 1
                     s[0] = plus(_run(plus, s[0], t00, gap) if gap else s[0], t)
                     s[1] = p
-        row = rows[i] = {}
+        row = {}
         for j in out_cols:
             s = folds.get(j)
-            row[j] = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
-    return _build(rows, alg)
+            v = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
+            if v != z:
+                row[j] = lift(v)
+        if row:
+            rows[i] = row
+    return _from_sorted_rows(rows)

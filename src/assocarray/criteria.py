@@ -64,23 +64,21 @@ class Verdict:
 
 
 def _violates(alg: Algebra, name: str, witness: tuple[Value, ...]) -> bool:
+    plus, times, lower = alg.plus_op, alg.times_op, alg.lower
+    z = lower(alg.zero)
     if name == CHECK_IDENTITY:
-        (v,) = witness
-        return (
-            alg.plus_op(alg.zero, v) != v
-            or alg.plus_op(v, alg.zero) != v
-            or alg.times_op(alg.one, v) != v
-            or alg.times_op(v, alg.one) != v
-        )
+        (v,) = map(lower, witness)
+        o = lower(alg.one)
+        return plus(z, v) != v or plus(v, z) != v or times(o, v) != v or times(v, o) != v
     if name == CHECK_CRITERION1:
-        v, w = witness
-        return v != alg.zero and w != alg.zero and alg.plus_op(v, w) == alg.zero
+        v, w = map(lower, witness)
+        return v != z and w != z and plus(v, w) == z
     if name == CHECK_CRITERION2:
-        v, w = witness
-        return v != alg.zero and w != alg.zero and alg.times_op(v, w) == alg.zero
+        v, w = map(lower, witness)
+        return v != z and w != z and times(v, w) == z
     if name == CHECK_CRITERION3:
-        (v,) = witness
-        return alg.times_op(v, alg.zero) != alg.zero or alg.times_op(alg.zero, v) != alg.zero
+        (v,) = map(lower, witness)
+        return times(v, z) != z or times(z, v) != z
     raise InternalConsistencyError(f"unknown check {name!r}")
 
 
@@ -116,18 +114,21 @@ def check(alg: Algebra, name: str, *, samples: int = DEFAULT_SAMPLES, seed: int 
             if _violates(alg, name, (v,)):
                 return _fail(alg, name, (v,))
     else:
-        # Pairs are O(n^2), so the operation is bound once and tested inline;
-        # _violates only replays the witness found.
+        # Pairs are O(n^2), so the operation is bound once and tested inline
+        # on natives; _violates only replays the witness found.
         op = alg.plus_op if name == CHECK_CRITERION1 else alg.times_op
-        zero = alg.zero
+        lower, z = alg.lower, alg.lower(alg.zero)
         if alg.is_finite:
-            nonzero = [v for v in alg.carrier if v != zero]
-            pairs: Iterable[tuple[Value, ...]] = itertools.product(nonzero, repeat=2)
+            nonzero = [x for x in map(lower, alg.carrier) if x != z]
+            pairs: Iterable[tuple] = itertools.product(nonzero, repeat=2)
         else:
-            pairs = ((alg.sample_nonzero(rng), alg.sample_nonzero(rng)) for _ in range(samples))
-        for v, w in pairs:
-            if op(v, w) == zero:
-                return _fail(alg, name, (v, w))
+            pairs = (
+                (lower(alg.sample_nonzero(rng)), lower(alg.sample_nonzero(rng)))
+                for _ in range(samples)
+            )
+        for x, y in pairs:
+            if op(x, y) == z:
+                return _fail(alg, name, (alg.lift(x), alg.lift(y)))
     mode = "exhaustive" if alg.is_finite else f"sampled {samples}"
     return Verdict(passed=True, mode=mode)
 
@@ -224,12 +225,13 @@ def witness_additive_inverse(v: Value, w: Value, alg: Algebra) -> WitnessCase:
         raise PreconditionError(
             "construction needs a nonzero one for the in-weights"
         )
-    entry = alg.plus_op(alg.times_op(v, one), alg.times_op(w, one))
-    if entry != alg.zero:
+    lower, times = alg.lower, alg.times_op
+    entry = alg.plus_op(times(lower(v), lower(one)), times(lower(w), lower(one)))
+    if entry != lower(alg.zero):
         raise PreconditionError(
             f"construction needs {encode_value(v)}*{encode_value(one)} + "
             f"{encode_value(w)}*{encode_value(one)} to be zero for the in-weights, "
-            f"got {encode_value(entry)} in {alg.name}"
+            f"got {encode_value(alg.lift(entry))} in {alg.name}"
         )
     graph = (
         EdgeRecord("k1", sources={"a": v}, targets={"b": one}),
@@ -279,8 +281,9 @@ def witness_annihilator(v: Value, alg: Algebra) -> WitnessCase:
             raise PreconditionError("construction needs a nonzero one for the self-loop weights")
         v = alg.one
         weights = f" with weights {encode_value(v)}"
-    right_fail = alg.times_op(v, alg.zero) != alg.zero
-    left_fail = alg.times_op(alg.zero, v) != alg.zero
+    x, z = alg.lower(v), alg.lower(alg.zero)
+    right_fail = alg.times_op(x, z) != z
+    left_fail = alg.times_op(z, x) != z
     sides = []
     if right_fail:
         sides.append(f"{encode_value(v)} times 0 is nonzero, inventing (a, b)")

@@ -9,8 +9,10 @@ from assocarray import (
     Algebra,
     AssociativeArray,
     EdgeRecord,
+    FiniteAlgebraSpec,
     Graph,
     ValidationError,
+    Value,
     adjacency,
     adjacency_oracle,
     encode_value,
@@ -50,10 +52,76 @@ def entries_of(arr):
     return {(r, c): v for r, c, v in arr}
 
 
+# --- Value-level reference operations ---------------------------------------
+#
+# The differential references below fold with these operations, not with an
+# algebra's own plus_op and times_op, which act on its native encoding.  Each
+# family's operations are restated here on Value payloads; a table algebra
+# looks its cells up through the spec it was built from.
+
+TABLE_SPECS: dict[str, FiniteAlgebraSpec] = {}  # table algebra name -> spec
+
+
+def table_algebra(spec: FiniteAlgebraSpec, name: str) -> Algebra:
+    """``from_finite_spec(spec, name)``, with the spec kept for ``reference_ops``."""
+    TABLE_SPECS[name] = spec
+    return from_finite_spec(spec, name=name)
+
+
+def _sum(a, b):
+    return Value.number(a.payload + b.payload)
+
+
+def _product(a, b):
+    return Value.number(a.payload * b.payload)
+
+
+def _larger(a, b):
+    return a if a.payload >= b.payload else b
+
+
+def _smaller(a, b):
+    return a if a.payload <= b.payload else b
+
+
+def _union(a, b):
+    return Value.tokens(set(a.payload) | set(b.payload))
+
+
+def _intersection(a, b):
+    return Value.tokens(set(a.payload) & set(b.payload))
+
+
+def _table_ops(spec):
+    index = {v: i for i, v in enumerate(spec.elements)}
+
+    def lookup(table):
+        return lambda a, b: spec.elements[table[index[a]][index[b]]]
+
+    return lookup(spec.plus_table), lookup(spec.times_table)
+
+
+def reference_ops(alg: Algebra):
+    """(plus, times) on Values for ``alg``, known by its name."""
+    name = alg.name.split("(")[0]
+    if name in ("natural_arithmetic", "nonneg_rational_arithmetic", "integer_ring"):
+        return _sum, _product
+    if name == "integer_ring_offset":
+        return _sum, lambda a, b: Value.number(a.payload * b.payload + 1)
+    if name == "max_plus_realzero":
+        return _larger, _sum
+    if name in ("max_min_chain", "boolean_or_and", "max_min_strings"):
+        return _larger, _smaller
+    if name == "powerset":
+        return _union, _intersection
+    return _table_ops(TABLE_SPECS[alg.name])
+
+
 def dense_matmul(a_entries, b_entries, alg, extra_rows=(), extra_cols=()):
     """Reference product over plain dicts, written independently of the
     library: explicit loops, explicit inner-key union, left fold with no
-    initial element."""
+    initial element, and the Value-level reference operations."""
+    plus, times = reference_ops(alg)
     rows = sorted({r for r, _ in a_entries} | set(extra_rows))
     cols = sorted({c for _, c in b_entries} | set(extra_cols))
     inner = sorted({c for _, c in a_entries} | {r for r, _ in b_entries})
@@ -61,12 +129,10 @@ def dense_matmul(a_entries, b_entries, alg, extra_rows=(), extra_cols=()):
     for i in rows:
         for j in cols:
             terms = [
-                alg.times_op(
-                    a_entries.get((i, k), alg.zero), b_entries.get((k, j), alg.zero)
-                )
+                times(a_entries.get((i, k), alg.zero), b_entries.get((k, j), alg.zero))
                 for k in inner
             ]
-            value = functools.reduce(alg.plus_op, terms) if terms else alg.zero
+            value = functools.reduce(plus, terms) if terms else alg.zero
             if value != alg.zero:
                 out[(i, j)] = value
     return out
@@ -76,14 +142,15 @@ def stored_pairs_matmul(a_entries, b_entries, alg):
     """Fold only the terms whose two factors are both stored, in ascending
     inner-key order: what the product reduces to when zero is inert, and a
     different array when it is not."""
+    plus, times = reference_ops(alg)
     b_rows = {}
     for (k, j), b_kj in sorted(b_entries.items()):
         b_rows.setdefault(k, []).append((j, b_kj))
     terms = {}
     for (i, k), a_ik in sorted(a_entries.items()):
         for j, b_kj in b_rows.get(k, ()):
-            terms.setdefault((i, j), []).append(alg.times_op(a_ik, b_kj))
-    folded = {ij: functools.reduce(alg.plus_op, ts) for ij, ts in terms.items()}
+            terms.setdefault((i, j), []).append(times(a_ik, b_kj))
+    folded = {ij: functools.reduce(plus, ts) for ij, ts in terms.items()}
     return {ij: v for ij, v in folded.items() if v != alg.zero}
 
 
@@ -160,7 +227,7 @@ def check_invariants(arr: AssociativeArray, alg: Algebra | None = None) -> None:
 def load_algebra_file(name):
     path = DATA_DIR / f"{name}.alg"
     spec = parse_finite_algebra(path.read_text(encoding="utf-8"), role=str(path))
-    return from_finite_spec(spec, name=name)
+    return table_algebra(spec, name)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR, load_algebra_file
+
 from assocarray.algebra import (
     CHECK_CRITERION2,
     Algebra,
@@ -14,9 +16,11 @@ from assocarray.algebra import (
     from_finite_spec,
     make_builtin,
 )
+from assocarray.array import from_triples, matmul
 from assocarray.errors import ConfigurationError, DomainError, ValidationError
+from assocarray.fileio import serialize_triples
 from assocarray.graph import document_adjacency, shared_words_array
-from assocarray.values import Value
+from assocarray.values import TEXT, TOP_PAYLOAD, Value, encode_value
 
 ALL_BUILTINS = [
     ("natural_arithmetic", {}),
@@ -141,6 +145,21 @@ def test_rational_arithmetic_is_exact():
     assert total == Value.number(1)
 
 
+def test_whole_rational_results_lift_to_ints():
+    # the native sum is Fraction(1, 1); its value must be the int 1, as
+    # Value.number makes it, so that it serializes as 1
+    rat = make_builtin("nonneg_rational_arithmetic")
+    half = rat.decode("1/2")
+    whole = rat.plus(half, half)
+    assert whole == Value.number(1) and type(whole.payload) is int
+    assert encode_value(whole) == "1"
+    a = from_triples([("i", "k", half), ("i", "m", half)], rat)
+    b = from_triples([("k", "j", rat.one), ("m", "j", rat.one)], rat)
+    product = matmul(a, b, rat)
+    assert type(product.rows["i"]["j"].payload) is int
+    assert serialize_triples(product) == "i\tj\t1\n"
+
+
 def test_chain_ops_are_max_and_min():
     chain = make_builtin("max_min_chain", levels=4)
     two, three = Value.number(2), Value.number(3)
@@ -192,11 +211,13 @@ def test_powerset_public_ops_refuse_foreign_tokens(n):
         ps.times(ps.one, Value.tokens(["t00", "zz"]))
 
 
-def assert_interned(values):
-    """Every two equal values in ``values`` are one object."""
+def assert_equal_sets_are_equal_values(values):
+    """Every two values in ``values`` over one token set are equal, hash
+    alike and encode alike."""
     first = {}
     for v in values:
-        assert first.setdefault(v, v) is v
+        seen = first.setdefault(frozenset(v.payload), v)
+        assert v == seen and hash(v) == hash(seen) and encode_value(v) == encode_value(seen)
 
 
 @st.composite
@@ -209,23 +230,23 @@ def powerset_operands(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(powerset_operands())
-def test_powerset_ops_are_union_and_intersection_of_interned_sets(drawn):
+def test_powerset_ops_are_union_and_intersection(drawn):
     universe, values = drawn
     ps = make_builtin("powerset", universe=universe)
     other = make_builtin("powerset", universe=universe)
     results = []
     for a, b in itertools.product(values + [ps.zero, ps.one], repeat=2):
-        union, common = ps.plus_op(a, b), ps.times_op(a, b)
+        union, common = ps.plus(a, b), ps.times(a, b)
         assert union == Value.tokens(set(a.payload) | set(b.payload))
         assert common == Value.tokens(set(a.payload) & set(b.payload))
-        # another algebra over the same universe builds its own results
-        assert other.plus_op(a, b) is not union
-        assert other.times_op(a, b) is not common
+        # another algebra over the same universe gives equal results
+        assert other.plus(a, b) == union
+        assert other.times(a, b) == common
         results += [union, common]
-    assert_interned(results)
+    assert_equal_sets_are_equal_values(results)
 
 
-def test_document_adjacency_values_are_interned():
+def test_document_adjacency_values_are_equal_across_runs():
     rng = random.Random(10)
     words = [f"w{k:03d}" for k in range(60)]
     docs = {f"d{k:02d}": rng.sample(words, rng.randint(5, 12)) for k in range(30)}
@@ -235,7 +256,7 @@ def test_document_adjacency_values_are_interned():
     assert first == again
     stored = [v for _, _, v in first]
     assert len(set(stored)) < len(stored)
-    assert_interned(stored + [v for _, _, v in again])
+    assert_equal_sets_are_equal_values(stored + [v for _, _, v in again])
 
 
 def test_max_plus_identities_coincide():
@@ -248,10 +269,9 @@ def test_max_plus_identities_coincide():
 def test_max_plus_plus_returns_an_operand():
     mp = make_builtin("max_plus_realzero")
     for a, b in [(3, -5), (-5, 3), (0, 0), (-2, -2), (7, 0)]:
-        va, vb = Value.number(a), Value.number(b)
-        got = mp.plus_op(va, vb)
-        assert got is va or got is vb
-        assert got == Value.number(max(a, b))
+        got = mp.plus_op(a, b)  # the natives are the payloads
+        assert got is a or got is b
+        assert mp.lift(got) == mp.plus(Value.number(a), Value.number(b)) == Value.number(max(a, b))
 
 
 def test_strings_order_by_lexicographic_payload():
@@ -314,6 +334,76 @@ BOOL_SPEC = FiniteAlgebraSpec(
     plus_table=((0, 1), (1, 1)),
     times_table=((0, 0), (0, 1)),
 )
+
+
+# Every builtin family, plus a long chain, the one-element powerset and a
+# powerset too large to enumerate, so that infinite carriers are sampled.
+ENCODED_BUILTINS = ALL_BUILTINS + [
+    ("max_min_chain", {"levels": 400}),
+    ("powerset", {"universe": []}),
+    ("powerset", {"universe": [f"t{i:02d}" for i in range(14)]}),
+]
+# Elements of every kind for random tables, whole and fractional numbers and
+# the top sentinel among them.
+TABLE_ELEMENTS = (
+    Value.number(0), Value.number(1), Value.number(-3), Value.number(Fraction(1, 2)),
+    Value.text("a"), Value.text(""), Value(TEXT, TOP_PAYLOAD),
+    Value.tokens([]), Value.tokens(["a"]), Value.tokens(["a", "b"]),
+)
+
+
+@st.composite
+def random_table_algebras(draw):
+    elements = draw(st.lists(st.sampled_from(TABLE_ELEMENTS), min_size=1, max_size=5, unique=True))
+    n = len(elements)
+    table = st.tuples(*[st.tuples(*[st.integers(0, n - 1)] * n)] * n)
+    return from_finite_spec(FiniteAlgebraSpec(
+        elements=tuple(elements),
+        zero_index=draw(st.integers(0, n - 1)),
+        one_index=draw(st.integers(0, n - 1)),
+        plus_table=draw(table),
+        times_table=draw(table),
+    ), name="random_table")
+
+
+def members(alg):
+    if alg.is_finite:
+        return st.sampled_from(alg.carrier)
+    drawn = st.integers(0, 2**32).map(lambda seed: alg.sample(random.Random(seed)))
+    return st.sampled_from([alg.zero, alg.one]) | drawn
+
+
+def assert_native_encoding_is_exact(alg, v, w):
+    # The native zero filter and the product's fixed-point stop compare
+    # natives, so the encoding must be injective and lift back exactly.
+    lifted = alg.lift(alg.lower(v))
+    assert lifted == v and type(lifted.payload) is type(v.payload)
+    assert encode_value(lifted) == encode_value(v)
+    assert (alg.lower(v) == alg.lower(w)) == (v == w)
+
+
+@pytest.mark.parametrize(
+    "name, params", ENCODED_BUILTINS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(ENCODED_BUILTINS)]
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_builtin_native_encoding_lifts_back_and_is_injective(name, params, data):
+    alg = make_builtin(name, **params)
+    assert_native_encoding_is_exact(alg, data.draw(members(alg)), data.draw(members(alg)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_native_encoding_lifts_back_and_is_injective(data):
+    alg = data.draw(random_table_algebras())
+    assert_native_encoding_is_exact(alg, data.draw(members(alg)), data.draw(members(alg)))
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.alg")), ids=lambda p: p.name)
+def test_parsed_table_native_encoding_lifts_back_and_is_injective(path):
+    alg = load_algebra_file(path.stem)
+    for v, w in itertools.product(alg.carrier, repeat=2):
+        assert_native_encoding_is_exact(alg, v, w)
 
 
 def test_sample_draws_from_a_finite_carrier():

@@ -14,9 +14,10 @@ from conftest import (
     entries_of,
     load_algebra_file,
     stored_pairs_matmul,
+    table_algebra,
 )
 
-from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
+from assocarray.algebra import FiniteAlgebraSpec, make_builtin
 from assocarray.array import (
     AssociativeArray,
     _build,
@@ -83,7 +84,7 @@ def random_tables(draw):
         plus_table=draw(table),
         times_table=draw(table),
     )
-    return from_finite_spec(spec, name="random_table")
+    return table_algebra(spec, "random_table")
 
 
 @functools.cache
@@ -99,7 +100,7 @@ def differential_algebra(name):
         return dataclasses.replace(
             make_builtin("integer_ring"),
             name=name,
-            times_op=lambda x, y: Value.number(x.payload * y.payload + 1),
+            times_op=lambda x, y: x * y + 1,  # on integer_ring's natives, the payloads
             proved=frozenset(),
         )
     return make_builtin(name)

@@ -181,8 +181,8 @@ def test_sampled_pass_without_flag_never_certifies(naturals):
         name="naturals_unflagged",
         zero=naturals.zero,
         one=naturals.one,
-        plus_op=naturals.plus_op,
-        times_op=naturals.times_op,
+        plus_op=naturals.plus,
+        times_op=naturals.times,
         contains_op=naturals.contains_op,
         decode_op=naturals.decode_op,
         sample_op=naturals.sample_op,
@@ -197,8 +197,8 @@ def test_bogus_known_failure_is_rejected(naturals):
         name="liar",
         zero=naturals.zero,
         one=naturals.one,
-        plus_op=naturals.plus_op,
-        times_op=naturals.times_op,
+        plus_op=naturals.plus,
+        times_op=naturals.times,
         contains_op=naturals.contains_op,
         decode_op=naturals.decode_op,
         sample_op=naturals.sample_op,
@@ -391,7 +391,7 @@ def test_checks_use_sampler_not_carrier_for_infinite(naturals):
         plus_op=lambda a, b: Value.number(0)
         if (a.payload, b.payload) == (3, 4)
         else Value.number(a.payload + b.payload),
-        times_op=naturals.times_op,
+        times_op=naturals.times,
         contains_op=naturals.contains_op,
         decode_op=naturals.decode_op,
         sample_op=lambda rng: Value.number(rng.randint(3, 4)),
