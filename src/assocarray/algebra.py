@@ -21,17 +21,14 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, ValidationError
 from .values import (
-    NUMBER,
-    TEXT,
-    TOKENS,
     TOP_ENCODING,
     TOP_PAYLOAD,
     Value,
+    _lift_number,
     encode_value,
     parse_number,
     parse_token_set,
@@ -241,14 +238,6 @@ def _min(a, b):
     return a if a <= b else b
 
 
-def _lift_number(x: int | Fraction) -> Value:
-    # Value.number without the type checks a native always passes: a whole
-    # rational lifts to its int
-    if type(x) is not int and x.denominator == 1:
-        x = x.numerator
-    return Value(NUMBER, x)
-
-
 def _decoder(parse: Callable[[str], Value], member: _Member, reason: str) -> Callable[[str], Value]:
     """A ``decode_op`` that parses, then refuses a non-member as ``'text' reason``."""
 
@@ -262,7 +251,7 @@ def _decoder(parse: Callable[[str], Value], member: _Member, reason: str) -> Cal
 
 
 def _is_int(v: Value) -> bool:
-    return v.kind == NUMBER and isinstance(v.payload, int)
+    return type(v.payload) is int
 
 
 def _numbers(
@@ -295,7 +284,8 @@ def _natural() -> Algebra:
 
 def _nonneg_rational() -> Algebra:
     return _numbers(
-        "nonneg_rational_arithmetic", lambda v: v.kind == NUMBER and v.payload >= 0,
+        "nonneg_rational_arithmetic",
+        lambda v: type(v.payload) in (int, Fraction) and v.payload >= 0,
         one=1, ops=(operator.add, operator.mul),
         draw=lambda rng: Fraction(rng.randint(0, 10), rng.randint(1, 10)),
         proved=frozenset({
@@ -377,12 +367,11 @@ def _max_min_strings() -> Algebra:
     sentinel is adjoined as the scaling identity because no alphanumeric
     string is maximal.  The sentinel encodes as ``<TOP>``.
     """
-    top = Value(TEXT, TOP_PAYLOAD)
+    top = Value(TOP_PAYLOAD)
 
     def member(v: Value) -> bool:
-        if v.kind != TEXT or not isinstance(v.payload, str):
-            return False
-        return v.payload == TOP_PAYLOAD or bool(_ALNUM_RE.fullmatch(v.payload))
+        p = v.payload
+        return type(p) is str and (p == TOP_PAYLOAD or bool(_ALNUM_RE.fullmatch(p)))
 
     def decode_op(text: str) -> Value:
         # digit-only names stay strings here, so no decode_any dispatch, and
@@ -390,21 +379,21 @@ def _max_min_strings() -> Algebra:
         if text == TOP_ENCODING:
             return top
         if _ALNUM_RE.fullmatch(text):
-            return Value(TEXT, text)
+            return Value(text)
         raise ValueError(f"{text!r} is not an alphanumeric string value")
 
     def sample_op(rng: random.Random) -> Value:
         r = rng.random()
         if r < 0.05:
-            return Value(TEXT, "")
+            return Value("")
         if r < 0.10:
             return top
         length = rng.randint(1, 6)
-        return Value(TEXT, "".join(rng.choice("abcdefghij0123456789") for _ in range(length)))
+        return Value("".join(rng.choice("abcdefghij0123456789") for _ in range(length)))
 
     return Algebra(
         name="max_min_strings",
-        zero=Value(TEXT, ""),
+        zero=Value(""),
         one=top,
         plus_op=_max,
         times_op=_min,
@@ -412,7 +401,7 @@ def _max_min_strings() -> Algebra:
         decode_op=decode_op,
         sample_op=sample_op,
         lower=_payload,
-        lift=partial(Value, TEXT),
+        lift=Value,
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
@@ -433,13 +422,13 @@ def _powerset(universe: Sequence[str]) -> Algebra:
     name = "powerset({" + ",".join(toks) + "})"
 
     def member(v: Value) -> bool:
-        return v.kind == TOKENS and set(v.payload) <= universe_set
+        return type(v.payload) is tuple and set(v.payload) <= universe_set
 
     carrier: tuple[Value, ...] | None = None
     sample_op = None
     if len(toks) <= _POWERSET_ENUMERATION_LIMIT:
         carrier = tuple(
-            Value(TOKENS, combo)
+            Value(combo)
             for size in range(len(toks) + 1)
             for combo in itertools.combinations(toks, size)
         )
@@ -447,7 +436,7 @@ def _powerset(universe: Sequence[str]) -> Algebra:
 
         def sample_op(rng: random.Random) -> Value:
             chosen = [t for t in toks if rng.random() < 0.5]
-            return Value(TOKENS, tuple(chosen))
+            return Value(tuple(chosen))
 
     # A subset's native is its bitmask over the sorted universe.
     bit = {t: 1 << i for i, t in enumerate(toks)}
@@ -462,18 +451,18 @@ def _powerset(universe: Sequence[str]) -> Algebra:
             low = m & -m
             members.append(toks[low.bit_length() - 1])
             m ^= low
-        return Value(TOKENS, tuple(members))
+        return Value(tuple(members))
 
     # {t0} and {t1} are disjoint: the pair the exhaustive search finds first,
     # and one a sampler over a large universe would almost never draw.
     known_failures = {}
     if len(toks) >= 2:
-        known_failures[CHECK_CRITERION2] = (Value(TOKENS, (toks[0],)), Value(TOKENS, (toks[1],)))
+        known_failures[CHECK_CRITERION2] = (Value((toks[0],)), Value((toks[1],)))
 
     return Algebra(
         name=name,
-        zero=Value(TOKENS, ()),
-        one=Value(TOKENS, tuple(toks)),
+        zero=Value(()),
+        one=Value(tuple(toks)),
         plus_op=operator.or_,
         times_op=operator.and_,
         contains_op=member,

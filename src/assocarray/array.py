@@ -62,8 +62,8 @@ class AssociativeArray:
 
 
 def _build(rows: Mapping[str, Mapping[str, Value]], alg: Algebra) -> AssociativeArray:
-    # rows may still hold zeros; drop them here so every constructor shares
-    # one sparsity rule.  Both levels are copied, so no caller's map is aliased.
+    # Sorts both levels and drops zeros, for from_triples (a fold may end at
+    # zero) and _ewise.  Both levels are copied, so no caller's map is aliased.
     zero = alg.zero
     built: dict[str, dict[str, Value]] = {}
     for r in sorted(rows):

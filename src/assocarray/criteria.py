@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -313,8 +313,8 @@ class MismatchReport:
 
     adjacency: AssociativeArray
     oracle: frozenset[tuple[str, str]]
-    missing: tuple[tuple[str, str, Value], ...] = field(default_factory=tuple)
-    spurious: tuple[tuple[str, str, Value], ...] = field(default_factory=tuple)
+    missing: tuple[tuple[str, str, Value], ...]
+    spurious: tuple[tuple[str, str, Value], ...]
 
 
 def demonstrate(wc: WitnessCase, alg: Algebra) -> MismatchReport:

@@ -30,7 +30,7 @@ from .array import (
     transpose,
 )
 from .errors import DomainError, PreconditionError, ValidationError
-from .values import TOKENS, Value, encode_value
+from .values import Value, encode_value
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def check_word_consistency(E: AssociativeArray) -> WordOverlapViolation | None:
     # and (m, n) the first coordinate whose column is absent from row i.
     rows_of: dict[str, dict[str, set[str]]] = {}
     for r, c, v in E:
-        if v.kind != TOKENS:
+        if type(v.payload) is not tuple:
             raise DomainError(f"entry ({r}, {c}) holds {encode_value(v)}, not a token set")
         for word in v.payload:
             rows_of.setdefault(word, {}).setdefault(r, set()).add(c)

@@ -1,4 +1,4 @@
-"""Carrier values: tagged payloads with a canonical, machine-stable text form.
+"""Carrier values: payloads with a canonical, machine-stable text form.
 
 Three payload families cover every builtin carrier: exact numbers (ints and
 rationals), plain strings, and finite sets of tokens.  The canonical encoding
@@ -16,6 +16,7 @@ from typing import Iterable
 NUMBER = "number"
 TEXT = "text"
 TOKENS = "tokens"
+_KIND_OF_TYPE = {int: NUMBER, Fraction: NUMBER, str: TEXT, tuple: TOKENS}
 
 # Internal payload of the string-carrier top element.  U+FFFF sorts above
 # every alphanumeric code point, which is all the string orderings need.
@@ -32,25 +33,36 @@ def _has_field_break(s: str) -> bool:
     return "\t" in s or "".join(s.splitlines()) != s
 
 
+def _lift_number(x: int | Fraction) -> "Value":
+    # Value.number less the type checks a native passes; a whole rational lifts to its int
+    if type(x) is not int and x.denominator == 1:
+        x = x.numerator
+    return Value(x)
+
+
 @dataclass(frozen=True, slots=True)
 class Value:
     """One element of a value set.
 
-    ``kind`` is NUMBER (payload int or Fraction), TEXT (payload str), or
-    TOKENS (payload a sorted tuple of distinct token strings).  Equality is
-    exact payload equality and is what every zero test reduces to.
+    The payload's type gives the kind: NUMBER (int or Fraction), TEXT (str),
+    or TOKENS (a sorted tuple of distinct token strings).  Equality is exact
+    payload equality and is what every zero test reduces to.
     """
 
-    kind: str
     payload: int | Fraction | str | tuple[str, ...]
+
+    @property
+    def kind(self) -> str:
+        kind = _KIND_OF_TYPE.get(type(self.payload))
+        if kind is None:
+            raise ValueError(f"no value kind has payload {self.payload!r}")
+        return kind
 
     @staticmethod
     def number(x: int | Fraction) -> "Value":
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"number payload must be int or Fraction, got {x!r}")
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = int(x)
-        return Value(NUMBER, x)
+        return _lift_number(x)
 
     @staticmethod
     def text(s: str) -> "Value":
@@ -58,7 +70,7 @@ class Value:
             raise TypeError(f"text payload must be str, got {s!r}")
         if _has_field_break(s):
             raise ValueError(f"text payload {s!r} contains a tab or line break")
-        return Value(TEXT, s)
+        return Value(s)
 
     @staticmethod
     def tokens(items: Iterable[str]) -> "Value":
@@ -70,7 +82,7 @@ class Value:
                 raise ValueError(
                     f"set token {tok!r} contains whitespace, comma, or brace characters"
                 )
-        return Value(TOKENS, tuple(toks))
+        return Value(tuple(toks))
 
     def __repr__(self) -> str:
         return f"Value({self.kind}:{encode_value(self)})"
@@ -79,13 +91,12 @@ class Value:
 def encode_value(v: Value) -> str:
     """Canonical text form: decimal ints, ``p/q`` rationals, ``{a,b}`` sets,
     bare strings, and the reserved ``<TOP>`` sentinel."""
-    if v.kind == NUMBER:
+    kind = v.kind
+    if kind == NUMBER:
         return str(v.payload)
-    if v.kind == TEXT:
-        return TOP_ENCODING if v.payload == TOP_PAYLOAD else str(v.payload)
-    if v.kind == TOKENS:
-        return "{" + ",".join(v.payload) + "}"
-    raise ValueError(f"unknown value kind {v.kind!r}")
+    if kind == TEXT:
+        return TOP_ENCODING if v.payload == TOP_PAYLOAD else v.payload
+    return "{" + ",".join(v.payload) + "}"
 
 
 def parse_number(text: str) -> Value:
@@ -114,7 +125,7 @@ def parse_token_set(text: str) -> Value:
         raise ValueError(f"not a token set literal: {text!r}")
     inner = text[1:-1]
     if not inner:
-        return Value(TOKENS, ())
+        return Value(())
     toks = inner.split(",")
     prev = None
     for tok in toks:
@@ -125,7 +136,7 @@ def parse_token_set(text: str) -> Value:
         if prev is not None and tok <= prev:
             raise ValueError(f"set members must be distinct and ascending in {text!r}")
         prev = tok
-    return Value(TOKENS, tuple(toks))
+    return Value(tuple(toks))
 
 
 def decode_any(text: str) -> Value:
@@ -136,7 +147,7 @@ def decode_any(text: str) -> Value:
     decoder for finite algebra element names, where the carrier kind is not known.
     """
     if text == TOP_ENCODING:
-        return Value(TEXT, TOP_PAYLOAD)
+        return Value(TOP_PAYLOAD)
     if text == TOP_PAYLOAD:
         raise ValueError(f"{text!r} is not canonical; write it as {TOP_ENCODING!r}")
     if text.startswith("{"):

@@ -44,7 +44,7 @@ from assocarray.algebra import (
     CHECK_IDENTITY,
 )
 from assocarray.cli import main
-from assocarray.values import TEXT, TOP_PAYLOAD
+from assocarray.values import TOP_PAYLOAD
 from conftest import (
     CERTIFIED_SPECS,
     CORPUS_GRAPHS_PER_ALGEBRA,
@@ -185,12 +185,12 @@ def test_classification_matrix(announce):
         "integer_ring": [Value.number(i) for i in range(-3, 4)],
         "max_plus_realzero": [Value.number(i) for i in range(-3, 4)],
         "max_min_strings": [
-            Value(TEXT, ""),
+            Value.text(""),
             Value.text("a"),
             Value.text("b"),
             Value.text("a0"),
             Value.text("zz"),
-            Value(TEXT, TOP_PAYLOAD),
+            Value(TOP_PAYLOAD),
         ],
     }
     instances = [

@@ -20,7 +20,7 @@ from assocarray.array import from_triples, matmul
 from assocarray.errors import ConfigurationError, DomainError, ValidationError
 from assocarray.fileio import serialize_triples
 from assocarray.graph import document_adjacency, shared_words_array
-from assocarray.values import TEXT, TOP_PAYLOAD, Value, encode_value
+from assocarray.values import TOP_PAYLOAD, Value, encode_value
 
 ALL_BUILTINS = [
     ("natural_arithmetic", {}),
@@ -347,7 +347,7 @@ ENCODED_BUILTINS = ALL_BUILTINS + [
 # the top sentinel among them.
 TABLE_ELEMENTS = (
     Value.number(0), Value.number(1), Value.number(-3), Value.number(Fraction(1, 2)),
-    Value.text("a"), Value.text(""), Value(TEXT, TOP_PAYLOAD),
+    Value.text("a"), Value.text(""), Value(TOP_PAYLOAD),
     Value.tokens([]), Value.tokens(["a"]), Value.tokens(["a", "b"]),
 )
 

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from conftest import FIELD_BREAKS
 
 from assocarray.values import (
+    NUMBER,
+    TEXT,
+    TOKENS,
     TOP_ENCODING,
     TOP_PAYLOAD,
     Value,
@@ -56,8 +59,26 @@ def test_repr_shows_kind_and_encoding():
 
 
 def test_encode_value_refuses_an_unknown_kind():
-    with pytest.raises(ValueError, match="unknown value kind 'bogus'"):
-        encode_value(Value("bogus", 1))
+    # the kind is read off the payload's type, and a float or a bool has none
+    for payload in (1.5, True):
+        with pytest.raises(ValueError, match=f"no value kind has payload {payload!r}"):
+            encode_value(Value(payload))
+
+
+@pytest.mark.parametrize(
+    "a,b,kinds,shown",
+    [
+        (Value.number(1), Value.text("1"), (NUMBER, TEXT), ("Value(number:1)", "Value(text:1)")),
+        (Value.tokens([]), Value.text(""), (TOKENS, TEXT), ("Value(tokens:{})", "Value(text:)")),
+        # one encoding, {}, for two values
+        (Value.tokens([]), Value.text("{}"), (TOKENS, TEXT), ("Value(tokens:{})", "Value(text:{})")),
+    ],
+)
+def test_look_alike_payloads_of_two_kinds_stay_apart(a, b, kinds, shown):
+    assert a != b and b != a
+    assert (a.kind, b.kind) == kinds
+    assert (repr(a), repr(b)) == shown
+    assert len({a: "a", b: "b"}) == 2
 
 
 def test_tokens_sorted_and_deduplicated():
@@ -82,7 +103,7 @@ def test_tokens_reject_separator_characters():
         (Value.tokens(["b", "a"]), "{a,b}"),
         (Value.text(""), ""),
         (Value.text("hello"), "hello"),
-        (Value(kind="text", payload=TOP_PAYLOAD), TOP_ENCODING),
+        (Value(TOP_PAYLOAD), TOP_ENCODING),
     ],
 )
 def test_encode_examples(value, encoded):
@@ -129,7 +150,7 @@ def test_decode_any_dispatch():
     assert decode_any("3/4") == Value.number(Fraction(3, 4))
     assert decode_any("{a}") == Value.tokens(["a"])
     assert decode_any("word") == Value.text("word")
-    assert decode_any(TOP_ENCODING) == Value(kind="text", payload=TOP_PAYLOAD)
+    assert decode_any(TOP_ENCODING) == Value(TOP_PAYLOAD)
     with pytest.raises(ValueError):
         decode_any("bad\tvalue")
 
@@ -138,7 +159,7 @@ def test_decode_any_refuses_the_literal_top_payload():
     with pytest.raises(ValueError) as exc_info:
         decode_any(TOP_PAYLOAD)
     assert str(exc_info.value) == "'\\uffff' is not canonical; write it as '<TOP>'"
-    assert decode_any(TOP_ENCODING) == Value(kind="text", payload=TOP_PAYLOAD)
+    assert decode_any(TOP_ENCODING) == Value(TOP_PAYLOAD)
 
 
 def test_top_sentinel_sorts_above_alphanumerics():
