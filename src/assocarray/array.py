@@ -24,9 +24,6 @@ from .values import Value, encode_value, _has_field_break
 
 Triple = tuple[str, str, Value]
 
-_UNSEEN = object()  # a memo's marker for a key not yet seen
-
-
 def check_key(key: str) -> str:
     if not isinstance(key, str) or not key:
         raise ValidationError(f"key must be a non-empty string, got {key!r}")
@@ -96,7 +93,7 @@ def from_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
     plus is not commutative.  Explicit zero inputs participate in the fold as
     ordinary terms; coordinates whose folded value equals zero are dropped.
     """
-    rows: dict[str, dict[str, Value]] = {}
+    triples = list(triples)
     for r, c, v in triples:
         check_key(r)
         check_key(c)
@@ -104,6 +101,14 @@ def from_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
             raise ValidationError(
                 f"value {encode_value(v)} at ({r}, {c}) is outside the carrier of {alg.name}"
             )
+    return _fold_triples(triples, alg)
+
+
+def _fold_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
+    # from_triples without its checks: every key must pass check_key and
+    # every value lie in alg's carrier.
+    rows: dict[str, dict[str, Value]] = {}
+    for r, c, v in triples:
         row = rows.setdefault(r, {})
         row[c] = alg.lift(alg.plus_op(alg.lower(row[c]), alg.lower(v))) if c in row else v
     return _build(rows, alg)
@@ -212,8 +217,10 @@ def matmul(
 
     When zero is proved inert (a two-sided plus identity and a two-sided
     times annihilator), every term with an unstored factor is zero and folds
-    away, so the row-wise loop (Gustavson's) runs over stored pairs alone,
-    and a stored pair whose product is zero folds away too.
+    away, so the loop runs over stored pairs alone: it walks the inner keys k
+    in ascending order and folds the outer product of a's column k and b's
+    row k into the result.  A stored pair whose product is zero folds away
+    too.
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
     are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
@@ -226,38 +233,54 @@ def matmul(
     coordinates beyond the stored key sets, so products against rows or
     columns that exist only implicitly (all zero) can still be observed.
     """
-    out_rows = sorted(set(a.row_keys) | {check_key(k) for k in extra_row_keys})
+    return _product_t(
+        transpose(a), b, alg, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
+    )
+
+
+def _product_t(
+    at: AssociativeArray,
+    b: AssociativeArray,
+    alg: Algebra,
+    *,
+    extra_row_keys: Iterable[str] = (),
+    extra_col_keys: Iterable[str] = (),
+) -> AssociativeArray:
+    """:func:`matmul` of ``transpose(at)`` and ``b``, which the inert loop
+    reads without building: the inner keys are the rows of both operands."""
+    out_rows = sorted(set(at.col_keys) | {check_key(k) for k in extra_row_keys})
     out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
     z = lower(alg.zero)
-    a_rows, b_rows = a.rows, b.rows
+    b_rows = b.rows
     rows: dict[str, dict[str, Value]] = {}
     if _zero_is_inert(alg):
-        # Each stored value of b is lowered once, when first reached: ``low``
-        # maps its id to its native, and b keeps every value alive meanwhile.
-        # ``seen`` maps the natives of both operands back to their values, so
-        # that a result equal to an operand, as every max or min is, is stored
-        # without building a value.
-        low: dict[int, object] = {}
+        # Each stored value is lowered once.  ``seen`` maps the natives of
+        # both operands back to their values, so that a result equal to an
+        # operand, as every max or min is, is stored without building a value.
+        # Walking k in ascending order folds each entry's terms in that order.
         seen: dict[object, Value] = {}
-        for i in out_rows:
-            acc: dict[str, object] = {}
-            for k, a_ik in a_rows.get(i, {}).items():  # ascending: rows store sorted columns
-                b_row = b_rows.get(k)
-                if not b_row:
-                    continue
+        accs: dict[str, dict[str, object]] = {}
+        for k, at_row in at.rows.items():
+            b_row = b_rows.get(k)
+            if not b_row:
+                continue
+            ys = []
+            for j, b_kj in b_row.items():
+                y = lower(b_kj)
+                seen[y] = b_kj
+                ys.append((j, y))
+            for i, a_ik in at_row.items():
                 x = lower(a_ik)
                 seen[x] = a_ik
-                for j, b_kj in b_row.items():
-                    y = low.get(id(b_kj), _UNSEEN)
-                    if y is _UNSEEN:
-                        y = low[id(b_kj)] = lower(b_kj)
-                        seen[y] = b_kj
+                acc = accs.setdefault(i, {})
+                for j, y in ys:
                     term = times(x, y)
                     if term != z:  # a zero term folds away, zero being a plus identity
                         acc[j] = plus(acc[j], term) if j in acc else term
+        for i in sorted(accs):
             row = {}
-            for j, v in sorted(acc.items()):
+            for j, v in sorted(accs[i].items()):
                 if v != z:
                     w = seen.get(v)
                     row[j] = lift(v) if w is None else w
@@ -265,7 +288,8 @@ def matmul(
                 rows[i] = row
         return _from_sorted_rows(rows)
 
-    inner = sorted(set(a.col_keys) | set(b.row_keys))
+    a_rows = transpose(at).rows
+    inner = sorted(set(at.row_keys) | set(b.row_keys))
     if not inner:
         return empty()  # every fold is over no terms
     position = {k: p for p, k in enumerate(inner)}

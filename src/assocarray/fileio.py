@@ -70,14 +70,20 @@ def _field(role: str, line_no: int, field: str, read: Callable[[str], T], raw: s
 
 def _parse_triples(text: str, decode: Callable[[str], Value], role: str) -> list[Triple]:
     triples: list[Triple] = []
+    # keys that passed, so each distinct key is checked once; a failing key
+    # is never stored and raises on the first line holding it
+    keys: set[str] = set()
     for line_no, line in _logical_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(
                 role, line_no, "line", f"expected 3 tab-separated fields, got {len(fields)}"
             )
-        row = _field(role, line_no, "row key", check_key, fields[0])
-        col = _field(role, line_no, "column key", check_key, fields[1])
+        row, col = fields[0], fields[1]
+        if row not in keys:
+            keys.add(_field(role, line_no, "row key", check_key, row))
+        if col not in keys:
+            keys.add(_field(role, line_no, "column key", check_key, col))
         value = _field(role, line_no, "value", decode, fields[2])
         triples.append((row, col, value))
     return triples

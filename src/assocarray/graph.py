@@ -24,8 +24,10 @@ from .array import (
     AssociativeArray,
     Triple,
     _from_sorted_rows,
+    _product_t,
     check_key,
     from_triples,
+    # unused here but kept: perfbench/tracing.py wraps these bindings of graph
     matmul,
     transpose,
 )
@@ -116,14 +118,15 @@ def adjacency(
 ) -> AssociativeArray:
     """Adjacency array: row x, column y holds the fold of out(k,x) times in(k,y).
 
-    The fold is always the definition's; :func:`~assocarray.array.matmul`
-    picks the loop from the algebra's laws.  The extra key arguments widen the
-    evaluated coordinates to vertices with no stored incidences, which is how
-    spurious adjacency entries against isolated vertices are made observable
-    for non-annihilating algebras.
+    The fold is always the definition's, and the loop is picked from the
+    algebra's laws as in :func:`~assocarray.array.matmul`; when zero is inert
+    no transpose is built.  The extra key arguments widen the evaluated
+    coordinates to vertices with no stored incidences, which is how spurious
+    adjacency entries against isolated vertices are made observable for
+    non-annihilating algebras.
     """
-    return matmul(
-        transpose(p.e_out),
+    return _product_t(
+        p.e_out,
         p.e_in,
         alg,
         extra_row_keys=extra_sources,
@@ -133,7 +136,7 @@ def adjacency(
 
 def reverse_adjacency(p: IncidencePair, alg: Algebra) -> AssociativeArray:
     """Adjacency of the reversed graph, from the same incidence pair."""
-    return matmul(transpose(p.e_in), p.e_out, alg)
+    return _product_t(p.e_in, p.e_out, alg)
 
 
 def adjacency_oracle(p: IncidencePair) -> frozenset[tuple[str, str]]:
@@ -232,4 +235,4 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
             f"and ({violation.row_b}, {violation.col_b}) but not at "
             f"({violation.row_a}, {violation.col_b})"
         )
-    return matmul(transpose(E), E, alg)
+    return _product_t(E, E, alg)

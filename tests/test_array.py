@@ -21,6 +21,7 @@ from assocarray.algebra import FiniteAlgebraSpec, make_builtin
 from assocarray.array import (
     AssociativeArray,
     _build,
+    _product_t,
     check_key,
     empty,
     ewise_add,
@@ -247,13 +248,9 @@ def test_ewise_mult_keeps_entries_when_zero_does_not_annihilate(annihilator_righ
     assert entries_of(out) == {("a", "b"): v}
 
 
-@pytest.mark.parametrize(
-    "name, reference",
-    DIFFERENTIAL_CASES,
-    ids=[f"{name}-{reference}" for name, reference in DIFFERENTIAL_CASES],
-)
-@given(data=st.data())
-def test_matmul_matches_dense_oracle(name, reference, data):
+def draw_operands(name, data):
+    """The algebra of a differential case, two independently drawn arrays over
+    it, and extra row and column keys."""
     alg = data.draw(random_tables()) if name == "random_table" else differential_algebra(name)
     if alg.is_finite:
         values_st = st.sampled_from(alg.carrier)
@@ -262,13 +259,40 @@ def test_matmul_matches_dense_oracle(name, reference, data):
     triples_st = st.lists(st.tuples(keys_st, keys_st, values_st), max_size=12)
     a = from_triples(data.draw(triples_st), alg)
     b = from_triples(data.draw(triples_st), alg)
-    rows, cols = data.draw(extra_keys_st), data.draw(extra_keys_st)
-    got = matmul(a, b, alg, extra_row_keys=rows, extra_col_keys=cols)
+    return alg, a, b, data.draw(extra_keys_st), data.draw(extra_keys_st)
+
+
+def reference_product(reference, a, b, alg, rows, cols):
     if reference == "full":
-        want = dense_matmul(entries_of(a), entries_of(b), alg, rows, cols)
-    else:
-        want = stored_pairs_matmul(entries_of(a), entries_of(b), alg)
-    assert entries_of(got) == want
+        return dense_matmul(entries_of(a), entries_of(b), alg, rows, cols)
+    return stored_pairs_matmul(entries_of(a), entries_of(b), alg)
+
+
+@pytest.mark.parametrize(
+    "name, reference",
+    DIFFERENTIAL_CASES,
+    ids=[f"{name}-{reference}" for name, reference in DIFFERENTIAL_CASES],
+)
+@given(data=st.data())
+def test_matmul_matches_dense_oracle(name, reference, data):
+    alg, a, b, rows, cols = draw_operands(name, data)
+    got = matmul(a, b, alg, extra_row_keys=rows, extra_col_keys=cols)
+    assert entries_of(got) == reference_product(reference, a, b, alg, rows, cols)
+    check_invariants(got, alg)
+
+
+@pytest.mark.parametrize(
+    "name, reference",
+    DIFFERENTIAL_CASES,
+    ids=[f"{name}-{reference}" for name, reference in DIFFERENTIAL_CASES],
+)
+@given(data=st.data())
+def test_product_of_a_transpose_matches_dense_oracle(name, reference, data):
+    # at is drawn, not built by transpose, so its rows (the inner keys) and
+    # b's rows overlap only partly.
+    alg, at, b, rows, cols = draw_operands(name, data)
+    got = _product_t(at, b, alg, extra_row_keys=rows, extra_col_keys=cols)
+    assert entries_of(got) == reference_product(reference, transpose(at), b, alg, rows, cols)
     check_invariants(got, alg)
 
 

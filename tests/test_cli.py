@@ -13,8 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocarray.algebra import make_builtin
+from assocarray.array import from_triples
 from assocarray.cli import main
 from assocarray.criteria import CHECK_LABELS, check, validate
+from assocarray.errors import PreconditionError
+from assocarray.fileio import ParseError, parse_set_triples, serialize_triples
+from assocarray.graph import document_adjacency
+from assocarray.values import Value
 from test_criteria import _golden_algebras
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -293,6 +298,64 @@ def test_doc_adjacency_empty_input(capsys, tmp_path):
     code, out, _ = run(capsys, "doc-adjacency", "--input", str(empty_file))
     assert code == 0
     assert out == ""
+
+
+def token_set_text(words):
+    return "{" + ",".join(sorted(words)) + "}"
+
+
+@st.composite
+def doc_triples_text_st(draw):
+    """Shared-words lines of a few documents, some entries split over two
+    lines that fold back by union, and the odd junk line or stray triple."""
+    words = st.sets(st.sampled_from(["w1", "w2", "w3", "w4"]), max_size=3)
+    docs = draw(st.dictionaries(st.sampled_from(["d1", "d2", "d10"]), words, max_size=3))
+    lines = []
+    for i in docs:
+        for j in docs:
+            shared = docs[i] & docs[j]
+            part = draw(st.sets(st.sampled_from(sorted(shared)))) if shared else set()
+            lines += [f"{i}\t{j}\t{token_set_text(part)}", f"{i}\t{j}\t{token_set_text(shared - part)}"]
+    junk = st.sampled_from([
+        "", "# a comment", "d1\td2", "d1\t#x\t{w1}", " \td1\t{w1}", "d1\td2\t{w2,w1}",
+        "d1\td2\t{w1} ", "d2\td1\t{w4}", "d1\td2\t{w1}\t{w2}",
+    ])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=doc_triples_text_st())
+def test_doc_adjacency_writes_what_the_checked_ingest_gives(text):
+    # The CLI folds the parsed triples without re-checking them; the result,
+    # or the refusal, must be the checked path's.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["doc-adjacency", "--input", path])
+        try:
+            triples = parse_set_triples(text, role=path)
+        except ParseError as exc:
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue() == f"error: {exc}\n"
+            assert f"line {exc.line_no}," in err.getvalue()
+            return
+    alg = make_builtin("powerset", universe=sorted({t for _, _, v in triples for t in v.payload}))
+    shared = from_triples(triples, alg)
+    folded = {}  # duplicates fold by union
+    for r, c, v in triples:
+        folded[r, c] = folded.get((r, c), set()) | set(v.payload)
+    assert shared == from_triples([(r, c, Value.tokens(ws)) for (r, c), ws in folded.items()], alg)
+    try:
+        want = serialize_triples(document_adjacency(shared, alg))
+    except PreconditionError:
+        assert (code, out.getvalue()) == (1, "")
+    else:
+        assert (code, out.getvalue()) == (0, want)
 
 
 def test_missing_input_file_exits_2(capsys):

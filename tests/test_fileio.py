@@ -76,6 +76,22 @@ def test_parse_triples_value_diagnostic_line_number(naturals):
     assert exc_info.value.field == "value"
 
 
+@pytest.mark.parametrize(
+    "text, line_no, field",
+    [
+        ("a\tb\t1\nb\t #x\t1\nb\t #x\t1\n", 2, "column key"),
+        ("a\tb\t1\n\ta\t1\nb\t\t1\n", 2, "row key"),
+        ("a\tb\t1\nb\t\t1\n\ta\t1\n", 2, "column key"),
+    ],
+)
+def test_parse_triples_reports_a_key_fault_on_its_first_line(naturals, text, line_no, field):
+    # each distinct key is checked once; a key that fails is never taken as
+    # checked, so it fails where it first appears, in either role
+    with pytest.raises(ParseError) as exc_info:
+        parse_triples(text, naturals)
+    assert (exc_info.value.line_no, exc_info.value.field) == (line_no, field)
+
+
 @pytest.mark.parametrize("raw", ["007", "-0", "4/2", "1/1", "2/4"])
 def test_parse_triples_rejects_non_canonical_numbers(raw):
     rationals = make_builtin("nonneg_rational_arithmetic")

@@ -6,6 +6,7 @@ from conftest import (
     DATA_DIR,
     check_invariants,
     check_transpose_identity,
+    entries_of,
     load_algebra_file,
     random_graph,
     reverse,
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocarray.algebra import Algebra, make_builtin
-from assocarray.array import empty, from_triples, support
+from assocarray.array import _zero_is_inert, empty, from_triples, support
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.graph import (
     EdgeRecord,
@@ -184,6 +185,19 @@ def test_reverse_adjacency_symmetric_digraph(naturals):
     g = simple_graph(("e1", "a", "b"), ("e2", "b", "a"))
     p = incidence_arrays(g, naturals)
     assert support(reverse_adjacency(p, naturals)) == support(adjacency(p, naturals))
+
+
+def test_parallel_edges_fold_in_string_order_of_their_keys(noncommutative):
+    # A scan finds noncommutative's zero inert, so both products fold stored
+    # pairs alone.  Its plus keeps the first nonzero operand and times keeps
+    # the second, so the entry is the term of the edge key that sorts first
+    # as a string: "k10" before "k2".
+    assert _zero_is_inert(noncommutative)
+    p, q = noncommutative.decode("p"), noncommutative.decode("q")
+    g = (EdgeRecord("k2", {"x": q}, {"y": q}), EdgeRecord("k10", {"x": p}, {"y": p}))
+    pair = incidence_arrays(g, noncommutative)
+    assert entries_of(adjacency(pair, noncommutative)) == {("x", "y"): p}
+    assert entries_of(reverse_adjacency(pair, noncommutative)) == {("y", "x"): p}
 
 
 def test_empty_graph_everything_empty(naturals):
