@@ -1,10 +1,11 @@
 """Pluggable value algebras.
 
-An :class:`Algebra` bundles a carrier of :class:`~assocarray.values.Value`
-elements with two binary operations and their designated identity elements
-(``zero`` and ``one``).  ``zero`` doubles as the sparsity element: the array
-layer stores only values that differ from it.  The operations act on a native
-encoding of the carrier, so the hot loops never build a value per term.
+An :class:`Algebra` bundles a carrier of plain values (see
+:mod:`~assocarray.values`) with two binary operations and their designated
+identity elements (``zero`` and ``one``).  ``zero`` doubles as the sparsity
+element: the array layer stores only values that differ from it.  A number,
+chain or string element is its own native, so those operations act on the
+stored values; a powerset or table algebra encodes its carrier natively.
 
 Carriers come in two shapes.  Finite carriers are enumerated outright and can
 be checked exhaustively; infinite ones carry a membership predicate plus a
@@ -67,9 +68,9 @@ class Algebra:
     hashable, so the product and the law checks compare natives alone.  The
     builtin natives are:
 
-    - the payload ``int`` or ``Fraction`` for the number families and the
-      chain levels;
-    - the payload ``str`` for ``max_min_strings``;
+    - the value itself for the number families, the chain levels and
+      ``max_min_strings``, where ``lift`` only turns a whole rational into
+      its ``int``;
     - a bitmask over the sorted universe for ``powerset``;
     - the element index for a table algebra from :func:`from_finite_spec`.
 
@@ -111,7 +112,7 @@ class Algebra:
 
     def _require_member(self, v: Value) -> None:
         if not self.contains_op(v):
-            raise DomainError(f"{encode_value(v)} is not in the carrier of {self.name}")
+            raise DomainError(f"{v!r} is not in the carrier of {self.name}")
 
     def plus(self, a: Value, b: Value) -> Value:
         self._require_member(a)
@@ -197,6 +198,8 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
     spec.validate()
     elements = spec.elements
     index = {v: i for i, v in enumerate(elements)}
+    # True == 1 and 1.0 == 1 hash alike, so a lookup alone would let them in
+    types = frozenset(map(type, elements))
     by_encoding = {encode_value(v): v for v in elements}
     plus_table = spec.plus_table
     times_table = spec.times_table
@@ -213,7 +216,7 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
         one=elements[spec.one_index],
         plus_op=lambda i, j: plus_table[i][j],
         times_op=lambda i, j: times_table[i][j],
-        contains_op=lambda v: v in index,
+        contains_op=lambda v: type(v) in types and v in index,
         decode_op=decode_op,
         carrier=elements,
         lower=index.__getitem__,
@@ -224,12 +227,7 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
 # --- builtin families -------------------------------------------------------
 
 
-# The number families, the chain and the strings take a value's payload as
-# its native.  Max and min are written out: the builtins cost three times as
-# much per call.
-_payload = operator.attrgetter("payload")
-
-
+# Max and min are written out: the builtins cost three times as much per call.
 def _max(a, b):
     return a if a >= b else b
 
@@ -250,28 +248,24 @@ def _decoder(parse: Callable[[str], Value], member: _Member, reason: str) -> Cal
     return decode_op
 
 
-def _is_int(v: Value) -> bool:
-    return type(v.payload) is int
-
-
 def _numbers(
     name: str, member: _Member, one: int, ops: tuple[Callable, Callable], draw, **laws
 ) -> Algebra:
     """A number family: zero 0, number-literal text, ``draw`` lifted to a sampler,
-    and ``ops`` on payloads."""
+    and ``ops`` on the numbers themselves."""
     return Algebra(
-        name=name, zero=Value.number(0), one=Value.number(one),
+        name=name, zero=0, one=one,
         plus_op=ops[0], times_op=ops[1], contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not in the carrier of {name}"),
         sample_op=lambda rng: Value.number(draw(rng)),
-        lower=_payload, lift=_lift_number,
+        lift=_lift_number,
         **laws,
     )
 
 
 def _natural() -> Algebra:
     return _numbers(
-        "natural_arithmetic", lambda v: _is_int(v) and v.payload >= 0,
+        "natural_arithmetic", lambda v: type(v) is int and v >= 0,
         one=1, ops=(operator.add, operator.mul), draw=lambda rng: rng.randint(0, 20),
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
@@ -285,7 +279,7 @@ def _natural() -> Algebra:
 def _nonneg_rational() -> Algebra:
     return _numbers(
         "nonneg_rational_arithmetic",
-        lambda v: type(v.payload) in (int, Fraction) and v.payload >= 0,
+        lambda v: (type(v) is int or type(v) is Fraction and v.denominator != 1) and v >= 0,
         one=1, ops=(operator.add, operator.mul),
         draw=lambda rng: Fraction(rng.randint(0, 10), rng.randint(1, 10)),
         proved=frozenset({
@@ -299,9 +293,9 @@ def _nonneg_rational() -> Algebra:
 
 def _integer_ring() -> Algebra:
     return _numbers(
-        "integer_ring", _is_int,
+        "integer_ring", lambda v: type(v) is int,
         one=1, ops=(operator.add, operator.mul), draw=lambda rng: rng.randint(-10, 10),
-        known_failures={CHECK_CRITERION1: (Value.number(1), Value.number(-1))},
+        known_failures={CHECK_CRITERION1: (1, -1)},
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
             CHECK_CRITERION2,  # the integers have no zero divisors
@@ -319,12 +313,12 @@ def _max_plus_realzero() -> Algebra:
     one is 0 as well, since adding 0 is the true scaling identity.
     """
     return _numbers(
-        "max_plus_realzero", _is_int,
+        "max_plus_realzero", lambda v: type(v) is int,
         one=0, ops=(_max, operator.add), draw=lambda rng: rng.randint(-10, 10),
         known_failures={
-            CHECK_IDENTITY: (Value.number(-1),),
-            CHECK_CRITERION2: (Value.number(5), Value.number(-5)),
-            CHECK_CRITERION3: (Value.number(5),),
+            CHECK_IDENTITY: (-1,),
+            CHECK_CRITERION2: (5, -5),
+            CHECK_CRITERION3: (5,),
         },
         proved=frozenset({CHECK_CRITERION1}),  # max(a, b) is a or b, so 0 only when a or b is
     )
@@ -337,8 +331,11 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
         raise ConfigurationError(
             f"max_min_chain level count {levels} exceeds the limit of {_MAX_CHAIN_LEVELS}"
         )
-    carrier = tuple(Value.number(i) for i in range(levels))
-    member = set(carrier).__contains__
+    carrier = tuple(range(levels))
+
+    def member(v: Value) -> bool:
+        return type(v) is int and 0 <= v < levels
+
     name = name or f"max_min_chain({levels})"
     return Algebra(
         name=name,
@@ -349,8 +346,6 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
         contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not a level of {name}"),
         carrier=carrier,
-        lower=_payload,
-        lift=carrier.__getitem__,  # level i is carrier[i]
         proved=frozenset({
             CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is the bottom only when a or b is
@@ -367,41 +362,36 @@ def _max_min_strings() -> Algebra:
     sentinel is adjoined as the scaling identity because no alphanumeric
     string is maximal.  The sentinel encodes as ``<TOP>``.
     """
-    top = Value(TOP_PAYLOAD)
-
     def member(v: Value) -> bool:
-        p = v.payload
-        return type(p) is str and (p == TOP_PAYLOAD or bool(_ALNUM_RE.fullmatch(p)))
+        return type(v) is str and (v == TOP_PAYLOAD or bool(_ALNUM_RE.fullmatch(v)))
 
     def decode_op(text: str) -> Value:
         # digit-only names stay strings here, so no decode_any dispatch, and
         # a literal U+FFFF in the text is not <TOP>
         if text == TOP_ENCODING:
-            return top
+            return TOP_PAYLOAD
         if _ALNUM_RE.fullmatch(text):
-            return Value(text)
+            return text
         raise ValueError(f"{text!r} is not an alphanumeric string value")
 
     def sample_op(rng: random.Random) -> Value:
         r = rng.random()
         if r < 0.05:
-            return Value("")
+            return ""
         if r < 0.10:
-            return top
+            return TOP_PAYLOAD
         length = rng.randint(1, 6)
-        return Value("".join(rng.choice("abcdefghij0123456789") for _ in range(length)))
+        return "".join(rng.choice("abcdefghij0123456789") for _ in range(length))
 
     return Algebra(
         name="max_min_strings",
-        zero=Value(""),
-        one=top,
+        zero="",
+        one=TOP_PAYLOAD,
         plus_op=_max,
         times_op=_min,
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
-        lower=_payload,
-        lift=Value,
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
@@ -415,34 +405,34 @@ def _powerset(universe: Sequence[str]) -> Algebra:
     if isinstance(universe, str) or not isinstance(universe, Sequence):
         raise ConfigurationError("powerset universe must be a sequence of token strings")
     try:
-        toks = list(Value.tokens(universe).payload)
+        toks = list(Value.tokens(universe))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"powerset universe: {exc}") from None
     universe_set = frozenset(toks)
     name = "powerset({" + ",".join(toks) + "})"
 
     def member(v: Value) -> bool:
-        return type(v.payload) is tuple and set(v.payload) <= universe_set
+        # distinct tokens in ascending order, as the canonical encoding has them
+        return type(v) is tuple and universe_set.issuperset(v) and list(v) == sorted(set(v))
 
     carrier: tuple[Value, ...] | None = None
     sample_op = None
     if len(toks) <= _POWERSET_ENUMERATION_LIMIT:
         carrier = tuple(
-            Value(combo)
+            combo
             for size in range(len(toks) + 1)
             for combo in itertools.combinations(toks, size)
         )
     else:
 
         def sample_op(rng: random.Random) -> Value:
-            chosen = [t for t in toks if rng.random() < 0.5]
-            return Value(tuple(chosen))
+            return tuple(t for t in toks if rng.random() < 0.5)
 
     # A subset's native is its bitmask over the sorted universe.
     bit = {t: 1 << i for i, t in enumerate(toks)}
 
     def lower(v: Value) -> int:
-        return sum(map(bit.__getitem__, v.payload))
+        return sum(map(bit.__getitem__, v))
 
     def lift(m: int) -> Value:
         # walk the set bits lowest first, so the tokens come out sorted
@@ -451,18 +441,18 @@ def _powerset(universe: Sequence[str]) -> Algebra:
             low = m & -m
             members.append(toks[low.bit_length() - 1])
             m ^= low
-        return Value(tuple(members))
+        return tuple(members)
 
     # {t0} and {t1} are disjoint: the pair the exhaustive search finds first,
     # and one a sampler over a large universe would almost never draw.
     known_failures = {}
     if len(toks) >= 2:
-        known_failures[CHECK_CRITERION2] = (Value((toks[0],)), Value((toks[1],)))
+        known_failures[CHECK_CRITERION2] = ((toks[0],), (toks[1],))
 
     return Algebra(
         name=name,
-        zero=Value(()),
-        one=Value(tuple(toks)),
+        zero=(),
+        one=tuple(toks),
         plus_op=operator.or_,
         times_op=operator.and_,
         contains_op=member,

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import CHECK_CRITERION3, CHECK_IDENTITY, Algebra
 from .errors import ValidationError
-from .values import Value, encode_value, _has_field_break
+from .values import Value, _has_field_break
 
 Triple = tuple[str, str, Value]
 
@@ -99,7 +99,7 @@ def from_triples(triples: Iterable[Triple], alg: Algebra) -> AssociativeArray:
         check_key(c)
         if not alg.contains_op(v):
             raise ValidationError(
-                f"value {encode_value(v)} at ({r}, {c}) is outside the carrier of {alg.name}"
+                f"value {v!r} at ({r}, {c}) is outside the carrier of {alg.name}"
             )
     return _fold_triples(triples, alg)
 
@@ -234,62 +234,54 @@ def matmul(
     columns that exist only implicitly (all zero) can still be observed.
     """
     return _product_t(
-        transpose(a), b, alg, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
+        None, b, alg, a=a, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
     )
 
 
 def _product_t(
-    at: AssociativeArray,
+    at: AssociativeArray | None,
     b: AssociativeArray,
     alg: Algebra,
     *,
+    a: AssociativeArray | None = None,
     extra_row_keys: Iterable[str] = (),
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
     """:func:`matmul` of ``transpose(at)`` and ``b``, which the inert loop
-    reads without building: the inner keys are the rows of both operands."""
-    out_rows = sorted(set(at.col_keys) | {check_key(k) for k in extra_row_keys})
+    reads without building: the inner keys are the rows of both operands.
+    The full fold reads ``a``, so :func:`matmul` passes ``a`` for ``at``."""
+    a_keys = at.col_keys if a is None else a.row_keys
+    out_rows = sorted(set(a_keys) | {check_key(k) for k in extra_row_keys})
     out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
     z = lower(alg.zero)
     b_rows = b.rows
     rows: dict[str, dict[str, Value]] = {}
     if _zero_is_inert(alg):
-        # Each stored value is lowered once.  ``seen`` maps the natives of
-        # both operands back to their values, so that a result equal to an
-        # operand, as every max or min is, is stored without building a value.
-        # Walking k in ascending order folds each entry's terms in that order.
-        seen: dict[object, Value] = {}
+        # Each stored value is lowered once, and walking k in ascending order
+        # folds each entry's terms in that order.
         accs: dict[str, dict[str, object]] = {}
-        for k, at_row in at.rows.items():
+        for k, at_row in (transpose(a) if at is None else at).rows.items():
             b_row = b_rows.get(k)
             if not b_row:
                 continue
-            ys = []
-            for j, b_kj in b_row.items():
-                y = lower(b_kj)
-                seen[y] = b_kj
-                ys.append((j, y))
+            ys = [(j, lower(b_kj)) for j, b_kj in b_row.items()]
             for i, a_ik in at_row.items():
                 x = lower(a_ik)
-                seen[x] = a_ik
                 acc = accs.setdefault(i, {})
                 for j, y in ys:
                     term = times(x, y)
                     if term != z:  # a zero term folds away, zero being a plus identity
                         acc[j] = plus(acc[j], term) if j in acc else term
         for i in sorted(accs):
-            row = {}
-            for j, v in sorted(accs[i].items()):
-                if v != z:
-                    w = seen.get(v)
-                    row[j] = lift(v) if w is None else w
+            row = {j: lift(v) for j, v in sorted(accs[i].items()) if v != z}
             if row:
                 rows[i] = row
         return _from_sorted_rows(rows)
 
-    a_rows = transpose(at).rows
-    inner = sorted(set(at.row_keys) | set(b.row_keys))
+    a = transpose(at) if a is None else a
+    a_rows = a.rows
+    inner = sorted(set(a.col_keys) | set(b.row_keys))
     if not inner:
         return empty()  # every fold is over no terms
     position = {k: p for p, k in enumerate(inner)}

@@ -179,7 +179,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_doc_adjacency(args: argparse.Namespace) -> int:
     triples = parse_set_triples(read_text(args.input), role=args.input)
-    tokens = sorted({t for _, _, v in triples for t in v.payload})
+    tokens = sorted({t for _, _, v in triples for t in v})
     alg = make_builtin("powerset", universe=tokens)
     shared = from_triples(triples, alg)
     try:

@@ -32,7 +32,7 @@ from .array import (
     transpose,
 )
 from .errors import DomainError, PreconditionError, ValidationError
-from .values import Value, encode_value
+from .values import Value
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
                     vertices.add(check_key(vertex))
                 if not alg.contains_op(weight):
                     raise ValidationError(
-                        f"edge {edge.key!r} weight {encode_value(weight)} at {vertex!r} "
+                        f"edge {edge.key!r} weight {weight!r} at {vertex!r} "
                         f"is outside the carrier of {alg.name}"
                     )
                 if weight == alg.zero:
@@ -201,9 +201,9 @@ def check_word_consistency(E: AssociativeArray) -> WordOverlapViolation | None:
     # and (m, n) the first coordinate whose column is absent from row i.
     rows_of: dict[str, dict[str, set[str]]] = {}
     for r, c, v in E:
-        if type(v.payload) is not tuple:
-            raise DomainError(f"entry ({r}, {c}) holds {encode_value(v)}, not a token set")
-        for word in v.payload:
+        if type(v) is not tuple:
+            raise DomainError(f"entry ({r}, {c}) holds {v!r}, not a token set")
+        for word in v:
             rows_of.setdefault(word, {}).setdefault(r, set()).add(c)
     found = []
     for word, rows in rows_of.items():

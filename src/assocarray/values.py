@@ -1,22 +1,17 @@
-"""Carrier values: payloads with a canonical, machine-stable text form.
+"""Carrier values: plain payloads with a canonical, machine-stable text form.
 
-Three payload families cover every builtin carrier: exact numbers (ints and
-rationals), plain strings, and finite sets of tokens.  The canonical encoding
-is what the TSV formats store; it is chosen so that encoding a value and
-decoding it back is the identity on every carrier element.
+A carrier element is its payload: an exact number (an ``int``, or a
+``Fraction`` that is not whole), a ``str``, or a token set (a sorted tuple of
+distinct token strings), whose types keep ``1``, ``"1"``, ``()`` and ``""``
+apart.  The canonical encoding is what the TSV formats store; encoding a value
+and decoding it back is the identity on every carrier element.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-NUMBER = "number"
-TEXT = "text"
-TOKENS = "tokens"
-_KIND_OF_TYPE = {int: NUMBER, Fraction: NUMBER, str: TEXT, tuple: TOKENS}
 
 # Internal payload of the string-carrier top element.  U+FFFF sorts above
 # every alphanumeric code point, which is all the string orderings need.
@@ -33,47 +28,37 @@ def _has_field_break(s: str) -> bool:
     return "\t" in s or "".join(s.splitlines()) != s
 
 
-def _lift_number(x: int | Fraction) -> "Value":
+def _lift_number(x: int | Fraction) -> int | Fraction:
     # Value.number less the type checks a native passes; a whole rational lifts to its int
     if type(x) is not int and x.denominator == 1:
-        x = x.numerator
-    return Value(x)
+        return x.numerator
+    return x
 
 
-@dataclass(frozen=True, slots=True)
 class Value:
-    """One element of a value set.
+    """Checked constructors of carrier elements, each returning the payload.
 
-    The payload's type gives the kind: NUMBER (int or Fraction), TEXT (str),
-    or TOKENS (a sorted tuple of distinct token strings).  Equality is exact
-    payload equality and is what every zero test reduces to.
+    As an annotation, ``Value`` names any carrier element: an ``int`` or a
+    non-whole ``Fraction``, a ``str``, or a sorted tuple of distinct tokens.
+    Equality is plain payload equality and is what every zero test reduces to.
     """
 
-    payload: int | Fraction | str | tuple[str, ...]
-
-    @property
-    def kind(self) -> str:
-        kind = _KIND_OF_TYPE.get(type(self.payload))
-        if kind is None:
-            raise ValueError(f"no value kind has payload {self.payload!r}")
-        return kind
-
     @staticmethod
-    def number(x: int | Fraction) -> "Value":
+    def number(x: int | Fraction) -> int | Fraction:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"number payload must be int or Fraction, got {x!r}")
         return _lift_number(x)
 
     @staticmethod
-    def text(s: str) -> "Value":
+    def text(s: str) -> str:
         if not isinstance(s, str):
             raise TypeError(f"text payload must be str, got {s!r}")
         if _has_field_break(s):
             raise ValueError(f"text payload {s!r} contains a tab or line break")
-        return Value(s)
+        return s
 
     @staticmethod
-    def tokens(items: Iterable[str]) -> "Value":
+    def tokens(items: Iterable[str]) -> tuple[str, ...]:
         toks = sorted(set(items))
         for tok in toks:
             if not tok:
@@ -82,21 +67,20 @@ class Value:
                 raise ValueError(
                     f"set token {tok!r} contains whitespace, comma, or brace characters"
                 )
-        return Value(tuple(toks))
-
-    def __repr__(self) -> str:
-        return f"Value({self.kind}:{encode_value(self)})"
+        return tuple(toks)
 
 
 def encode_value(v: Value) -> str:
     """Canonical text form: decimal ints, ``p/q`` rationals, ``{a,b}`` sets,
     bare strings, and the reserved ``<TOP>`` sentinel."""
-    kind = v.kind
-    if kind == NUMBER:
-        return str(v.payload)
-    if kind == TEXT:
-        return TOP_ENCODING if v.payload == TOP_PAYLOAD else v.payload
-    return "{" + ",".join(v.payload) + "}"
+    t = type(v)
+    if t is int or t is Fraction:
+        return str(v)
+    if t is str:
+        return TOP_ENCODING if v == TOP_PAYLOAD else v
+    if t is tuple:
+        return "{" + ",".join(v) + "}"
+    raise ValueError(f"no value kind has payload {v!r}")
 
 
 def parse_number(text: str) -> Value:
@@ -125,7 +109,7 @@ def parse_token_set(text: str) -> Value:
         raise ValueError(f"not a token set literal: {text!r}")
     inner = text[1:-1]
     if not inner:
-        return Value(())
+        return ()
     toks = inner.split(",")
     prev = None
     for tok in toks:
@@ -136,7 +120,7 @@ def parse_token_set(text: str) -> Value:
         if prev is not None and tok <= prev:
             raise ValueError(f"set members must be distinct and ascending in {text!r}")
         prev = tok
-    return Value(tuple(toks))
+    return tuple(toks)
 
 
 def decode_any(text: str) -> Value:
@@ -147,7 +131,7 @@ def decode_any(text: str) -> Value:
     decoder for finite algebra element names, where the carrier kind is not known.
     """
     if text == TOP_ENCODING:
-        return Value(TOP_PAYLOAD)
+        return TOP_PAYLOAD
     if text == TOP_PAYLOAD:
         raise ValueError(f"{text!r} is not canonical; write it as {TOP_ENCODING!r}")
     if text.startswith("{"):

@@ -12,7 +12,6 @@ from assocarray import (
     FiniteAlgebraSpec,
     Graph,
     ValidationError,
-    Value,
     adjacency,
     adjacency_oracle,
     encode_value,
@@ -52,11 +51,11 @@ def entries_of(arr):
     return {(r, c): v for r, c, v in arr}
 
 
-# --- Value-level reference operations ---------------------------------------
+# --- value-level reference operations ---------------------------------------
 #
 # The differential references below fold with these operations, not with an
 # algebra's own plus_op and times_op, which act on its native encoding.  Each
-# family's operations are restated here on Value payloads; a table algebra
+# family's operations are restated here on plain values; a table algebra
 # looks its cells up through the spec it was built from.
 
 TABLE_SPECS: dict[str, FiniteAlgebraSpec] = {}  # table algebra name -> spec
@@ -68,28 +67,25 @@ def table_algebra(spec: FiniteAlgebraSpec, name: str) -> Algebra:
     return from_finite_spec(spec, name=name)
 
 
+def _number(x):
+    # a whole rational is the int it equals, as on every number carrier
+    return int(x) if x == int(x) else x
+
+
 def _sum(a, b):
-    return Value.number(a.payload + b.payload)
+    return _number(a + b)
 
 
 def _product(a, b):
-    return Value.number(a.payload * b.payload)
-
-
-def _larger(a, b):
-    return a if a.payload >= b.payload else b
-
-
-def _smaller(a, b):
-    return a if a.payload <= b.payload else b
+    return _number(a * b)
 
 
 def _union(a, b):
-    return Value.tokens(set(a.payload) | set(b.payload))
+    return tuple(sorted(set(a) | set(b)))
 
 
 def _intersection(a, b):
-    return Value.tokens(set(a.payload) & set(b.payload))
+    return tuple(sorted(set(a) & set(b)))
 
 
 def _table_ops(spec):
@@ -102,16 +98,16 @@ def _table_ops(spec):
 
 
 def reference_ops(alg: Algebra):
-    """(plus, times) on Values for ``alg``, known by its name."""
+    """(plus, times) on plain values for ``alg``, known by its name."""
     name = alg.name.split("(")[0]
     if name in ("natural_arithmetic", "nonneg_rational_arithmetic", "integer_ring"):
         return _sum, _product
     if name == "integer_ring_offset":
-        return _sum, lambda a, b: Value.number(a.payload * b.payload + 1)
+        return _sum, lambda a, b: a * b + 1
     if name == "max_plus_realzero":
-        return _larger, _sum
+        return max, _sum
     if name in ("max_min_chain", "boolean_or_and", "max_min_strings"):
-        return _larger, _smaller
+        return max, min
     if name == "powerset":
         return _union, _intersection
     return _table_ops(TABLE_SPECS[alg.name])
@@ -120,7 +116,7 @@ def reference_ops(alg: Algebra):
 def dense_matmul(a_entries, b_entries, alg, extra_rows=(), extra_cols=()):
     """Reference product over plain dicts, written independently of the
     library: explicit loops, explicit inner-key union, left fold with no
-    initial element, and the Value-level reference operations."""
+    initial element, and the value-level reference operations."""
     plus, times = reference_ops(alg)
     rows = sorted({r for r, _ in a_entries} | set(extra_rows))
     cols = sorted({c for _, c in b_entries} | set(extra_cols))

@@ -190,7 +190,7 @@ def test_classification_matrix(announce):
             Value.text("b"),
             Value.text("a0"),
             Value.text("zz"),
-            Value(TOP_PAYLOAD),
+            TOP_PAYLOAD,
         ],
     }
     instances = [
@@ -400,6 +400,6 @@ def test_cli_golden_outputs_and_round_trips(announce, capsys, data_dir, golden_d
 
         doc_bytes = (golden_dir / "doc_adjacency.tsv").read_bytes()
         doc_triples = parse_set_triples(doc_bytes.decode("utf-8"))
-        universe = sorted({t for _, _, v in doc_triples for t in v.payload})
+        universe = sorted({t for _, _, v in doc_triples for t in v})
         doc_arr = from_triples(doc_triples, make_builtin("powerset", universe=universe))
         assert serialize_triples(doc_arr).encode("utf-8") == doc_bytes

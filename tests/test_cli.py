@@ -344,11 +344,11 @@ def test_doc_adjacency_writes_what_the_checked_ingest_gives(text):
             assert err.getvalue() == f"error: {exc}\n"
             assert f"line {exc.line_no}," in err.getvalue()
             return
-    alg = make_builtin("powerset", universe=sorted({t for _, _, v in triples for t in v.payload}))
+    alg = make_builtin("powerset", universe=sorted({t for _, _, v in triples for t in v}))
     shared = from_triples(triples, alg)
     folded = {}  # duplicates fold by union
     for r, c, v in triples:
-        folded[r, c] = folded.get((r, c), set()) | set(v.payload)
+        folded[r, c] = folded.get((r, c), set()) | set(v)
     assert shared == from_triples([(r, c, Value.tokens(ws)) for (r, c), ws in folded.items()], alg)
     try:
         want = serialize_triples(document_adjacency(shared, alg))

@@ -388,9 +388,7 @@ def test_checks_use_sampler_not_carrier_for_infinite(naturals):
         name="flaky_plus",
         zero=Value.number(0),
         one=Value.number(1),
-        plus_op=lambda a, b: Value.number(0)
-        if (a.payload, b.payload) == (3, 4)
-        else Value.number(a.payload + b.payload),
+        plus_op=lambda a, b: 0 if (a, b) == (3, 4) else a + b,
         times_op=naturals.times,
         contains_op=naturals.contains_op,
         decode_op=naturals.decode_op,

@@ -408,7 +408,7 @@ def test_parse_edge_list_refuses_an_omitted_weight_after_an_explicit_one(max_plu
 
 def test_parse_edge_list_catches_a_conflict_between_memoized_weights(naturals):
     g = parse_edge_list("k1\ta\tb\t2\t3\nk2\tc\td\t3\t2\n", naturals)
-    assert g[0].sources["a"] is g[1].targets["d"]  # equal texts share one Value
+    assert g[0].sources["a"] is g[1].targets["d"]  # equal texts share one value
     with pytest.raises(ParseError) as exc_info:
         parse_edge_list("k1\ta\tb\t2\t3\nk2\tc\td\t3\t2\nk1\ta\tc\t3\t2\n", naturals)
     err = exc_info.value
@@ -457,7 +457,7 @@ def test_parse_set_triples_fails_on_a_line_or_round_trips(text):
     except ParseError as exc:
         assert 1 <= exc.line_no <= len(text.splitlines()) + 1
         return
-    tokens = sorted({t for _, _, v in triples for t in v.payload})
+    tokens = sorted({t for _, _, v in triples for t in v})
     alg = make_builtin("powerset", universe=tokens)
     arr = from_triples(triples, alg)
     again = serialize_triples(arr)

@@ -30,7 +30,7 @@ from assocarray.graph import (
     reverse_adjacency,
     shared_words_array,
 )
-from assocarray.values import TOKENS, Value, encode_value
+from assocarray.values import Value
 
 ONE = Value.number(1)
 
@@ -291,9 +291,9 @@ def brute_force_word_consistency(E):
     over every pair of a word's coordinates, quadratic in its entries."""
     occurrences = {}
     for r, c, v in E:
-        if v.kind != TOKENS:
-            raise DomainError(f"entry ({r}, {c}) holds {encode_value(v)}, not a token set")
-        for word in v.payload:
+        if type(v) is not tuple:
+            raise DomainError(f"entry ({r}, {c}) holds {v!r}, not a token set")
+        for word in v:
             occurrences.setdefault(word, set()).add((r, c))
     earliest = min(
         (

@@ -28,3 +28,14 @@ def test_every_module_level_import_is_referenced(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     referenced = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert imported - referenced == KEPT_UNUSED.get(path.stem, set())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_reads_a_value_wrapper_attribute(path):
+    # a carrier element is its payload, so no value has these to read
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = sorted(
+        (n.lineno, n.attr) for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("payload", "kind")
+    )
+    assert reads == []
