@@ -198,11 +198,16 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
     spec.validate()
     elements = spec.elements
     index = {v: i for i, v in enumerate(elements)}
-    # True == 1 and 1.0 == 1 hash alike, so a lookup alone would let them in
-    types = frozenset(map(type, elements))
     by_encoding = {encode_value(v): v for v in elements}
     plus_table = spec.plus_table
     times_table = spec.times_table
+
+    def contains_op(v: Value) -> bool:
+        # True == 1 and 1.0 == 1 hash alike, so the matched element's type must be v's
+        try:
+            return type(elements[index[v]]) is type(v)
+        except (KeyError, TypeError):
+            return False
 
     def decode_op(text: str) -> Value:
         try:
@@ -216,7 +221,7 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
         one=elements[spec.one_index],
         plus_op=lambda i, j: plus_table[i][j],
         times_op=lambda i, j: times_table[i][j],
-        contains_op=lambda v: type(v) in types and v in index,
+        contains_op=contains_op,
         decode_op=decode_op,
         carrier=elements,
         lower=index.__getitem__,
@@ -413,7 +418,10 @@ def _powerset(universe: Sequence[str]) -> Algebra:
 
     def member(v: Value) -> bool:
         # distinct tokens in ascending order, as the canonical encoding has them
-        return type(v) is tuple and universe_set.issuperset(v) and list(v) == sorted(set(v))
+        try:
+            return type(v) is tuple and universe_set.issuperset(v) and list(v) == sorted(set(v))
+        except TypeError:  # an unhashable token
+            return False
 
     carrier: tuple[Value, ...] | None = None
     sample_op = None

@@ -213,14 +213,14 @@ def matmul(
 
     Both loops run on the algebra's natives: each stored value is lowered
     where it is read, zeros are dropped by comparing natives, and only the
-    results that are stored are lifted back to values.
+    results that are stored are lifted back to values.  ``a`` is transposed
+    once, and both loops walk the inner keys k in ascending order as the rows
+    of both operands, folding in the terms of a's column k and b's row k.
 
     When zero is proved inert (a two-sided plus identity and a two-sided
     times annihilator), every term with an unstored factor is zero and folds
-    away, so the loop runs over stored pairs alone: it walks the inner keys k
-    in ascending order and folds the outer product of a's column k and b's
-    row k into the result.  A stored pair whose product is zero folds away
-    too.
+    away, so the loop folds the outer product of the stored pairs alone; a
+    stored pair whose product is zero folds away too.
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
     are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
@@ -234,34 +234,29 @@ def matmul(
     columns that exist only implicitly (all zero) can still be observed.
     """
     return _product_t(
-        None, b, alg, a=a, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
+        transpose(a), b, alg, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
     )
 
 
 def _product_t(
-    at: AssociativeArray | None,
+    at: AssociativeArray,
     b: AssociativeArray,
     alg: Algebra,
     *,
-    a: AssociativeArray | None = None,
     extra_row_keys: Iterable[str] = (),
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
-    """:func:`matmul` of ``transpose(at)`` and ``b``, which the inert loop
-    reads without building: the inner keys are the rows of both operands.
-    The full fold reads ``a``, so :func:`matmul` passes ``a`` for ``at``."""
-    a_keys = at.col_keys if a is None else a.row_keys
-    out_rows = sorted(set(a_keys) | {check_key(k) for k in extra_row_keys})
-    out_cols = sorted(set(b.col_keys) | {check_key(k) for k in extra_col_keys})
+    """:func:`matmul` of ``transpose(at)`` and ``b``: the inner keys are the rows of both."""
+    extra_rows = {check_key(k) for k in extra_row_keys}
+    extra_cols = {check_key(k) for k in extra_col_keys}
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
     z = lower(alg.zero)
-    b_rows = b.rows
+    at_rows, b_rows = at.rows, b.rows
     rows: dict[str, dict[str, Value]] = {}
     if _zero_is_inert(alg):
-        # Each stored value is lowered once, and walking k in ascending order
-        # folds each entry's terms in that order.
+        # Each stored value is lowered once.
         accs: dict[str, dict[str, object]] = {}
-        for k, at_row in (transpose(a) if at is None else at).rows.items():
+        for k, at_row in at_rows.items():
             b_row = b_rows.get(k)
             if not b_row:
                 continue
@@ -279,50 +274,46 @@ def _product_t(
                 rows[i] = row
         return _from_sorted_rows(rows)
 
-    a = transpose(at) if a is None else a
-    a_rows = a.rows
-    inner = sorted(set(a.col_keys) | set(b.row_keys))
+    inner = sorted(set(at.row_keys) | set(b.row_keys))
     if not inner:
         return empty()  # every fold is over no terms
-    position = {k: p for p, k in enumerate(inner)}
+    out_rows = sorted(set(at.col_keys) | extra_rows)
+    out_cols = sorted(set(b.col_keys) | extra_cols)
     t00 = times(z, z)
-    low_b = {k: {j: lower(b_kj) for j, b_kj in b_row.items()} for k, b_row in b_rows.items()}
-    # zero times b(k, j), shared by every row that does not store a(i, k).
-    zero_b: dict[str, dict[str, object]] = {}
-    for k, b_row in low_b.items():
-        zero_row = {j: t for j, y in b_row.items() if (t := times(z, y)) != t00}
-        if zero_row:
-            zero_b[k] = zero_row
-    last = len(inner) - 1
-    only_t00 = _run(plus, t00, t00, last)
-    for i in out_rows:
-        a_row = a_rows.get(i, {})
-        # Per column: [accumulator, position of its last folded term].  A term
-        # at position p first folds the t00 run since that position; with no
-        # accumulator yet, the leading run starts from t00 itself.
-        folds: dict[str, list] = {}
-        for k in sorted(a_row.keys() | zero_b.keys()) if zero_b else a_row:
-            p = position[k]
-            if k not in a_row:
-                terms = zero_b[k].items()
+    # Per entry: [accumulator, position of its last folded term].  A term at
+    # position p first folds the t00 run since that position; with no
+    # accumulator yet, the leading run starts from t00 itself.
+    folds: dict[str, dict[str, list]] = {i: {} for i in out_rows}
+    for p, k in enumerate(inner):
+        at_row = at_rows.get(k, {})
+        b_row = {j: lower(b_kj) for j, b_kj in b_rows.get(k, {}).items()}
+        # zero times b(k, j), shared by every row that does not store a(i, k)
+        zero_terms = [(j, t) for j, y in b_row.items() if (t := times(z, y)) != t00]
+        for i in out_rows if zero_terms else at_row:
+            if i not in at_row:
+                terms = zero_terms
             else:
-                x, b_row = lower(a_row[k]), low_b.get(k, {})
+                x = lower(at_row[i])
                 u = times(x, z)
                 if u == t00:  # events only where b(k, j) is stored
                     terms = ((j, times(x, y)) for j, y in b_row.items())
                 else:
                     terms = [(j, times(x, b_row[j]) if j in b_row else u) for j in out_cols]
+            states = folds[i]
             for j, t in terms:
-                s = folds.get(j)
+                s = states.get(j)
                 if s is None:
-                    folds[j] = [plus(_run(plus, t00, t00, p - 1), t) if p else t, p]
+                    states[j] = [plus(_run(plus, t00, t00, p - 1), t) if p else t, p]
                 else:
                     gap = p - s[1] - 1
                     s[0] = plus(_run(plus, s[0], t00, gap) if gap else s[0], t)
                     s[1] = p
+    last = len(inner) - 1
+    only_t00 = _run(plus, t00, t00, last)
+    for i, states in folds.items():
         row = {}
         for j in out_cols:
-            s = folds.get(j)
+            s = states.get(j)
             v = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
             if v != z:
                 row[j] = lift(v)

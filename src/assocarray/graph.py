@@ -119,8 +119,8 @@ def adjacency(
     """Adjacency array: row x, column y holds the fold of out(k,x) times in(k,y).
 
     The fold is always the definition's, and the loop is picked from the
-    algebra's laws as in :func:`~assocarray.array.matmul`; when zero is inert
-    no transpose is built.  The extra key arguments widen the evaluated
+    algebra's laws as in :func:`~assocarray.array.matmul`; neither loop
+    builds a transpose.  The extra key arguments widen the evaluated
     coordinates to vertices with no stored incidences, which is how spurious
     adjacency entries against isolated vertices are made observable for
     non-annihilating algebras.

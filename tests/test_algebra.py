@@ -493,6 +493,31 @@ def test_finite_spec_rejects_bad_identity_indices():
         spec.validate()
 
 
+def _table(*elements):
+    n = len(elements)
+    cells = ((0,) * n,) * n
+    return from_finite_spec(FiniteAlgebraSpec(
+        elements=elements, zero_index=0, one_index=n - 1, plus_table=cells, times_table=cells,
+    ))
+
+
+@pytest.mark.parametrize(
+    "alg, v",
+    [
+        (_table(Value.number(0), Value.number(2), Value.number(Fraction(1, 2))), Fraction(2)),
+        (_table(Value.tokens([]), Value.tokens(["a"])), (["a"],)),
+        (make_builtin("powerset", universe=["a", "b"]), (["a"],)),
+    ],
+    ids=["table-whole-fraction", "table-list-token", "powerset-list-token"],
+)
+def test_membership_refuses_a_lookalike_or_unhashable_value(alg, v):
+    # Fraction(2) == 2 and hashes alike, but is no table element; a list
+    # token cannot be hashed to look up
+    assert not alg.contains(v)
+    with pytest.raises(ValidationError, match="outside the carrier"):
+        from_triples([("r", "c", v)], alg)
+
+
 def test_algebra_without_sampler_refuses_to_sample():
     alg = Algebra(
         name="opaque",

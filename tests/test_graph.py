@@ -14,8 +14,10 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import assocarray.array
 from assocarray.algebra import Algebra, make_builtin
 from assocarray.array import _zero_is_inert, empty, from_triples, support
+from assocarray.criteria import demonstrate, witness_annihilator
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.graph import (
     EdgeRecord,
@@ -390,6 +392,33 @@ def test_document_adjacency_rejects_inconsistent_input(powerset_xy):
     with pytest.raises(PreconditionError) as exc_info:
         document_adjacency(E, powerset_xy)
     assert str(exc_info.value) == "word 'x' appears at (d1, d2) and (d3, d4) but not at (d1, d4)"
+
+
+@pytest.mark.parametrize(
+    "alg, weight",
+    [
+        (make_builtin("max_plus_realzero"), Value.number(5)),
+        (load_algebra_file("annihilator_right"), Value.text("v")),
+        (make_builtin("natural_arithmetic"), None),
+        (make_builtin("powerset", universe=["x", "y"]), None),
+    ],
+    ids=["max_plus_realzero", "annihilator_right", "natural_arithmetic", "powerset"],
+)
+def test_no_graph_product_builds_a_transpose(alg, weight, monkeypatch):
+    # every graph product is X^T Y, and both loops read the inner keys as the
+    # rows of X and Y; weight is a criterion 3 witness where there is one
+    def refuse(arr):
+        raise AssertionError("a graph product built a transpose")
+
+    monkeypatch.setattr(assocarray.array, "transpose", refuse)
+    pair = incidence_arrays(random_graph(alg, random.Random(1)), alg)
+    assert pair.e_out.nnz
+    adjacency(pair, alg, extra_sources=["iso"], extra_targets=["iso"])
+    reverse_adjacency(pair, alg)
+    if weight is not None:
+        demonstrate(witness_annihilator(weight, alg), alg)
+    if alg.name.startswith("powerset"):
+        document_adjacency(shared_words_array({"d1": ["x", "y"], "d2": ["y"]}), alg)
 
 
 # --- transpose identity ------------------------------------------------------
