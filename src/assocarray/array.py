@@ -25,10 +25,17 @@ from .values import Value, _has_field_break
 Triple = tuple[str, str, Value]
 
 def check_key(key: str) -> str:
-    if not isinstance(key, str) or not key:
+    if not isinstance(key, str):
         raise ValidationError(f"key must be a non-empty string, got {key!r}")
     if _has_field_break(key):
         raise ValidationError(f"key {key!r} contains a tab or line break")
+    return _check_field_key(key)
+
+
+def _check_field_key(key: str) -> str:
+    # check_key for a tab-split field of a str.splitlines line, which holds no field break
+    if not key:
+        raise ValidationError(f"key must be a non-empty string, got {key!r}")
     if key.lstrip()[:1] in ("", "#"):
         # its line would read back as a blank line or a comment and be skipped
         raise ValidationError(f"key {key!r} is blank or, after leading whitespace, starts with '#'")
@@ -260,7 +267,7 @@ def _product_t(
             b_row = b_rows.get(k)
             if not b_row:
                 continue
-            ys = [(j, lower(b_kj)) for j, b_kj in b_row.items()]
+            ys = list(zip(b_row, map(lower, b_row.values())))
             for i, a_ik in at_row.items():
                 x = lower(a_ik)
                 acc = accs.setdefault(i, {})

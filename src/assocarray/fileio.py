@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from .algebra import Algebra, FiniteAlgebraSpec
-from .array import AssociativeArray, Triple, check_key
+from .array import AssociativeArray, Triple, _check_field_key
 from .errors import AssocArrayError, ValidationError
-from .graph import EdgeRecord, Graph
+from .graph import EdgeRecord, Graph, SideMaps
 from .values import Value, decode_any, encode_value, parse_token_set
 
 
@@ -81,9 +81,9 @@ def _parse_triples(text: str, decode: Callable[[str], Value], role: str) -> list
             )
         row, col = fields[0], fields[1]
         if row not in keys:
-            keys.add(_field(role, line_no, "row key", check_key, row))
+            keys.add(_field(role, line_no, "row key", _check_field_key, row))
         if col not in keys:
-            keys.add(_field(role, line_no, "column key", check_key, col))
+            keys.add(_field(role, line_no, "column key", _check_field_key, col))
         value = _field(role, line_no, "value", decode, fields[2])
         triples.append((row, col, value))
     return triples
@@ -127,8 +127,14 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
     Re-stating an endpoint the edge already has is allowed only with the same
     weight: a conflict would mean silently discarding data.
     """
-    sources: dict[str, dict[str, Value]] = {}
-    targets: dict[str, dict[str, Value]] = {}
+    sources, targets = _parse_edge_sides(text, alg, role=role)
+    return tuple(EdgeRecord(k, side, targets[k]) for k, side in sources.items())
+
+
+def _parse_edge_sides(text: str, alg: Algebra, *, role: str) -> tuple[SideMaps, SideMaps]:
+    """:func:`parse_edge_list`'s edges as their source and target maps."""
+    sources: SideMaps = {}
+    targets: SideMaps = {}
     # texts that passed, so each distinct text is checked or decoded once;
     # a failing text is never stored and raises on the first line holding it.
     # An omitted weight is the text None, which means one unless one is zero.
@@ -162,11 +168,11 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
             )
         key, src, dst = fields[0], fields[1], fields[2]
         if key not in keys:
-            keys.add(_field(role, line_no, "edge key", check_key, key))
+            keys.add(_field(role, line_no, "edge key", _check_field_key, key))
         if src not in keys:
-            keys.add(_field(role, line_no, "source vertex", check_key, src))
+            keys.add(_field(role, line_no, "source vertex", _check_field_key, src))
         if dst not in keys:
-            keys.add(_field(role, line_no, "target vertex", check_key, dst))
+            keys.add(_field(role, line_no, "target vertex", _check_field_key, dst))
         raw = fields[3] if n > 3 else None
         if (out_w := weights_of.get(raw)) is None:
             out_w = new_weight(line_no, "out_value", raw)
@@ -183,7 +189,7 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
             raise conflict(line_no, "source", src, old, out_w)
         if (old := in_side.setdefault(dst, in_w)) is not in_w and old != in_w:
             raise conflict(line_no, "target", dst, old, in_w)
-    return tuple(EdgeRecord(k, side, targets[k]) for k, side in sources.items())
+    return sources, targets
 
 
 def serialize_edge_list(g: Graph) -> str:

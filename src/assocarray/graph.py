@@ -16,7 +16,6 @@ the criteria module show each check is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .algebra import Algebra, make_builtin
@@ -45,6 +44,7 @@ class EdgeRecord:
 
 
 Graph = tuple[EdgeRecord, ...]
+SideMaps = dict[str, dict[str, Value]]  # one side's weighted vertices, by edge key
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,25 @@ def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
                     raise ValidationError(
                         f"edge {edge.key!r} has zero weight at vertex {vertex!r}"
                     )
-    return _incidence_pair(g, alg)
+    return _incidence_pair({e.key: dict(e.sources) for e in g}, {e.key: dict(e.targets) for e in g})
 
 
-def _incidence_pair(g: Graph, alg: Algebra) -> IncidencePair:
+def _incidence_pair(sources: SideMaps, targets: SideMaps) -> IncidencePair:
     """The incidence pair of a graph :func:`incidence_arrays` accepts, unchecked.
 
-    No weight is zero, so nothing is dropped.  ``alg`` is unused; the
-    signature is :func:`incidence_arrays`'s.  Both arrays have the edge keys
-    as rows, so the edges are sorted once, and each side map is copied sorted.
+    The caller hands the side maps over, and the arrays keep them as rows.
+    No weight is zero, so nothing is dropped.  The edge keys are sorted once;
+    a one-vertex side is sorted already, and any other becomes a sorted copy.
     """
-    out_rows: dict[str, dict[str, Value]] = {}
-    in_rows: dict[str, dict[str, Value]] = {}
-    for edge in sorted(g, key=attrgetter("key")):
-        out_rows[edge.key] = dict(sorted(edge.sources.items()))
-        in_rows[edge.key] = dict(sorted(edge.targets.items()))
-    return IncidencePair(
-        e_out=_from_sorted_rows(out_rows), e_in=_from_sorted_rows(in_rows)
-    )
+    keys = sorted(sources)
+    arrays = []
+    for sides in (sources, targets):
+        rows = {k: sides[k] for k in keys}
+        for k, side in rows.items():
+            if len(side) > 1:
+                rows[k] = dict(sorted(side.items()))
+        arrays.append(_from_sorted_rows(rows))
+    return IncidencePair(*arrays)
 
 
 def adjacency(

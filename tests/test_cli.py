@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assocarray import cli
 from assocarray.algebra import make_builtin
 from assocarray.array import from_triples
 from assocarray.cli import main
 from assocarray.criteria import CHECK_LABELS, check, validate
 from assocarray.errors import PreconditionError
-from assocarray.fileio import ParseError, parse_set_triples, serialize_triples
-from assocarray.graph import document_adjacency
+from assocarray.fileio import ParseError, parse_edge_list, parse_set_triples, serialize_triples
+from assocarray.graph import adjacency, document_adjacency, incidence_arrays, reverse_adjacency
 from assocarray.values import Value
+from conftest import check_invariants
 from test_criteria import _golden_algebras
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -356,6 +358,89 @@ def test_doc_adjacency_writes_what_the_checked_ingest_gives(text):
         assert (code, out.getvalue()) == (1, "")
     else:
         assert (code, out.getvalue()) == (0, want)
+
+
+@st.composite
+def multigraph_text_st(draw, weights):
+    """Edge lines of a multigraph over a few vertices, so that parallel edges
+    are common: each edge states every source and target pair on its own
+    line, in descending vertex order, so a hyperedge restates its endpoints;
+    now and then a parallel copy of an edge, or a bad line."""
+    vertices = st.sampled_from(["v9", "v10", "a", "b", "c"])
+    side = st.dictionaries(vertices, st.sampled_from(weights), min_size=1, max_size=3)
+    edges = [
+        (key, draw(side), draw(side))
+        for key in draw(st.lists(st.sampled_from(["e1", "e2", "e10", "k"]), unique=True))
+    ]
+    if edges and draw(st.booleans()):
+        edges.append(("p", *edges[0][1:]))
+    lines = [
+        f"{key}\t{src}\t{dst}\t{sources[src]}\t{targets[dst]}"
+        for key, sources, targets in edges
+        for src in sorted(sources, reverse=True)
+        for dst in sorted(targets, reverse=True)
+    ]
+    junk = st.sampled_from([
+        "", "# a comment", "k1\t\tb", " #k\ta\tb", "k1\ta\tb\t0", "e1\tv9\tb\tx",
+        f"e1\ta\tb\t{weights[0]}", f"e1\ta\tb\t{weights[-1]}\t{weights[-1]}",
+    ])
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "".join(line + "\n" for line in lines)
+
+
+ADJACENCY_CASES = [
+    ("natural_arithmetic", ["1", "2", "3"]),
+    ("max_min_strings", ["a", "b1", "<TOP>"]),
+    ("integer_ring", ["1", "-1", "2"]),
+    (str(REPO_DIR / "tests" / "data" / "annihilator_right.alg"), ["1", "v"]),  # the full fold
+]
+
+
+@pytest.mark.parametrize("command", ["adjacency", "reverse-adjacency"])
+@pytest.mark.parametrize(
+    "algebra, weights", ADJACENCY_CASES, ids=[Path(a).stem for a, _ in ADJACENCY_CASES]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_adjacency_writes_what_the_checked_ingest_gives(command, algebra, weights, data):
+    # The CLI builds its incidence pair from the parse's side maps, unchecked;
+    # the pair, the triples, the summary line, or the refusal must be the
+    # checked path's.  Both product loops sort their output, so only the
+    # pair's invariants show a side left unsorted.
+    text = data.draw(multigraph_text_st(weights))
+    argv = [command, "--algebra", algebra, "--input"]
+    alg = cli.resolve_algebra(cli.build_parser().parse_args([*argv, "input"]))
+    unchecked, built = cli.incidence_arrays, []
+
+    def incidence_pair(*args):
+        built.append(unchecked(*args))
+        return built[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "incidence_arrays", incidence_pair)
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, path])
+        try:
+            g = parse_edge_list(text, alg, role=path)
+        except ParseError as exc:
+            assert (code, out.getvalue(), built) == (2, "", [])
+            assert err.getvalue() == f"error: {exc}\n"
+            return
+    p = incidence_arrays(g, alg)
+    assert built == [p]
+    check_invariants(built[0].e_out, alg)
+    check_invariants(built[0].e_in, alg)
+    adj = reverse_adjacency(p, alg) if command == "reverse-adjacency" else adjacency(p, alg)
+    vertices = set(p.e_out.col_keys) | set(p.e_in.col_keys)
+    assert (code, out.getvalue()) == (0, serialize_triples(adj))
+    assert err.getvalue().splitlines()[-1] == (
+        f"vertices={len(vertices)} edges={len(g)} nonzeros={adj.nnz}"
+    )
 
 
 def test_missing_input_file_exits_2(capsys):

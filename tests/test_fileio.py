@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from assocarray import cli
 from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import check_key, from_triples
 from assocarray.errors import ValidationError
@@ -12,6 +11,7 @@ from assocarray.fileio import (
     ParseError,
     _field,
     _logical_lines,
+    _parse_edge_sides,
     _split_top_level_commas,
     parse_edge_list,
     parse_finite_algebra,
@@ -21,7 +21,7 @@ from assocarray.fileio import (
     serialize_edge_list,
     serialize_triples,
 )
-from assocarray.graph import EdgeRecord, incidence_arrays
+from assocarray.graph import EdgeRecord, _incidence_pair, incidence_arrays
 from assocarray.values import Value, encode_value
 from conftest import load_algebra_file, random_graph
 
@@ -296,20 +296,21 @@ def edge_list_st(weights):
 def test_a_parsed_edge_list_is_a_valid_graph_with_the_parsed_rows(alg, text_st, data):
     # parse_edge_list enforces every rule incidence_arrays checks, so the
     # checked graph's rows are exactly the parsed per-edge maps, and the CLI's
-    # unchecked builder gives the same pair, equal to the triples construction
-    # in entries, iteration order and key sets.
+    # unchecked build from the parse's side maps gives the same pair, equal to
+    # the triples construction in entries, iteration order and key sets.
+    text = data.draw(text_st)
     try:
-        g = parse_edge_list(data.draw(text_st), alg)
+        g = parse_edge_list(text, alg)
     except ParseError:
         return
     p = incidence_arrays(g, alg)
     assert p.e_out.rows == {e.key: e.sources for e in g}
     assert p.e_in.rows == {e.key: e.targets for e in g}
-    fast = cli.incidence_arrays(g, alg)
+    fast = _incidence_pair(*_parse_edge_sides(text, alg, role="edge-list"))
     assert fast == p
-    for arr, side in ((fast.e_out, "sources"), (fast.e_in, "targets")):
+    for arr, checked, side in ((fast.e_out, p.e_out, "sources"), (fast.e_in, p.e_in, "targets")):
         ref = from_triples([(e.key, v, w) for e in g for v, w in getattr(e, side).items()], alg)
-        assert list(arr) == list(ref)
+        assert list(arr) == list(checked) == list(ref)
         assert (arr.row_keys, arr.col_keys) == (ref.row_keys, ref.col_keys)
 
 

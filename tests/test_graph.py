@@ -19,6 +19,7 @@ from assocarray.algebra import Algebra, make_builtin
 from assocarray.array import _zero_is_inert, empty, from_triples, support
 from assocarray.criteria import demonstrate, witness_annihilator
 from assocarray.errors import DomainError, PreconditionError, ValidationError
+from assocarray.fileio import _parse_edge_sides, parse_edge_list
 from assocarray.graph import (
     EdgeRecord,
     IncidencePair,
@@ -119,14 +120,16 @@ def test_incidence_equals_the_triples_construction(name):
 
 
 def test_incidence_sorts_unsorted_edges_and_sides(naturals):
-    # edge keys out of order, and hyperedge sides listing vertices out of order
-    g = (
-        EdgeRecord("k3", {"c": ONE, "a": Value.number(2)}, {"b": ONE}),
-        EdgeRecord("k1", {"b": ONE}, {"d": Value.number(3), "a": ONE, "c": ONE}),
-        EdgeRecord("k2", {"d": ONE}, {"a": Value.number(4)}),
-    )
-    for build in (incidence_arrays, _incidence_pair):
-        p = build(g, naturals)
+    # edge keys out of order, and hyperedge sides listing vertices out of
+    # order, one restated; the checked graph's pair and the pair taken over
+    # from the parse's side maps both equal the triples construction
+    text = "k3\tc\tb\nk3\ta\tb\t2\nk1\tb\td\t1\t3\nk1\tb\ta\nk1\tb\tc\nk2\td\ta\t1\t4\nk1\tb\ta\n"
+    g = parse_edge_list(text, naturals)
+    assert g[0] == EdgeRecord("k3", {"c": ONE, "a": Value.number(2)}, {"b": ONE})
+    for p in (
+        incidence_arrays(g, naturals),
+        _incidence_pair(*_parse_edge_sides(text, naturals, role="edge-list")),
+    ):
         for arr, side in ((p.e_out, "sources"), (p.e_in, "targets")):
             expected = from_triples(
                 [(e.key, v, w) for e in g for v, w in getattr(e, side).items()], naturals
