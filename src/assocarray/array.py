@@ -175,7 +175,7 @@ def ewise_mult(a: AssociativeArray, b: AssociativeArray, alg: Algebra) -> Associ
 
 def _run(plus: Callable, acc, t00, r: int):
     """Apply ``acc <- plus(acc, t00)`` r times on natives, stopping early at a
-    fixed point."""
+    fixed point: an entry's gap and tail runs (the leading run is shared)."""
     for _ in range(r):
         nxt = plus(acc, t00)
         if nxt == acc:
@@ -234,7 +234,8 @@ def matmul(
     zero for the columns b's row k lacks, and zero times b(k, j) for the rows
     a's column k lacks.  The ``t00`` terms between them are folded as runs
     of ``plus(acc, t00)`` that stop early at a fixed point, with the same
-    result as the definition.
+    result as the definition; the leading run, before an entry's first
+    such term, is folded once per product and shared by every entry.
 
     ``extra_row_keys`` / ``extra_col_keys`` widen the candidate output
     coordinates beyond the stored key sets, so products against rows or
@@ -253,7 +254,8 @@ def _product_t(
     extra_row_keys: Iterable[str] = (),
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
-    """:func:`matmul` of ``transpose(at)`` and ``b``: the inner keys are the rows of both."""
+    """:func:`matmul` of ``transpose(at)`` and ``b``: the inner keys are the rows of both.
+    The full fold steps its leading ``t00`` run once, shared by every entry."""
     extra_rows = {check_key(k) for k in extra_row_keys}
     extra_cols = {check_key(k) for k in extra_col_keys}
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
@@ -287,9 +289,16 @@ def _product_t(
     out_rows = sorted(set(at.col_keys) | extra_rows)
     out_cols = sorted(set(b.col_keys) | extra_cols)
     t00 = times(z, z)
+    last = len(inner) - 1
+    # lead[r]: t00 folded with r more t00 terms, up to its fixed point, which
+    # lead[cap] holds if reached; every entry shares this leading run.
+    lead = [t00]
+    while len(lead) <= last and (nxt := plus(lead[-1], t00)) != lead[-1]:
+        lead.append(nxt)
+    cap = len(lead) - 1
     # Per entry: [accumulator, position of its last folded term].  A term at
     # position p first folds the t00 run since that position; with no
-    # accumulator yet, the leading run starts from t00 itself.
+    # accumulator yet, that is the leading run of p terms.
     folds: dict[str, dict[str, list]] = {i: {} for i in out_rows}
     for p, k in enumerate(inner):
         at_row = at_rows.get(k, {})
@@ -310,18 +319,18 @@ def _product_t(
             for j, t in terms:
                 s = states.get(j)
                 if s is None:
-                    states[j] = [plus(_run(plus, t00, t00, p - 1), t) if p else t, p]
+                    states[j] = [plus(lead[min(p - 1, cap)], t) if p else t, p]
                 else:
-                    gap = p - s[1] - 1
-                    s[0] = plus(_run(plus, s[0], t00, gap) if gap else s[0], t)
-                    s[1] = p
-    last = len(inner) - 1
-    only_t00 = _run(plus, t00, t00, last)
+                    acc, gap = s[0], p - s[1] - 1
+                    # the first step inline: the accumulator is mostly a fixed point
+                    if gap and (nxt := plus(acc, t00)) != acc:
+                        acc = _run(plus, nxt, t00, gap - 1)
+                    s[0], s[1] = plus(acc, t), p
     for i, states in folds.items():
         row = {}
         for j in out_cols:
             s = states.get(j)
-            v = only_t00 if s is None else _run(plus, s[0], t00, last - s[1])
+            v = lead[cap] if s is None else _run(plus, s[0], t00, last - s[1])
             if v != z:
                 row[j] = lift(v)
         if row:

@@ -14,6 +14,7 @@ failure, no witness available, inconsistent input), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -215,6 +216,7 @@ def _add_io_flags(sp: argparse.ArgumentParser, with_input: bool) -> None:
     sp.add_argument("--output", help="output file path (default: standard output)")
 
 
+@functools.cache  # parse_args keeps nothing between calls; each fills a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="assocarray",

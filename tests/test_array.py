@@ -366,6 +366,68 @@ def test_full_matmul_evaluates_only_terms_that_differ_from_zero_times_zero(integ
     check_invariants(got, integers)
 
 
+# Inner keys k0..k5 are positions 0..5.  Output entries have their first
+# event (a term other than t00) at position 0, at 2 and later, so both the
+# empty leading run and a longer one occur.
+COUNT_A = {("r0", "k2"): 1, ("r0", "k4"): 2, ("r1", "k0"): 3, ("r1", "k3"): 1, ("r2", "k5"): 2}
+COUNT_B = {("k0", "c1"): 2, ("k1", "c2"): 1, ("k2", "c0"): 1, ("k3", "c1"): 1,
+           ("k4", "c0"): 2, ("k5", "c2"): 3}
+
+
+def event_positions(is_event):
+    """last, and the event positions of each entry of COUNT_A x COUNT_B
+    that has any; ``is_event`` takes each factor, None where unstored."""
+    inner = sorted({k for _, k in COUNT_A} | {k for k, _ in COUNT_B})
+    events = {}
+    for i in sorted({i for i, _ in COUNT_A}):
+        for j in sorted({j for _, j in COUNT_B}):
+            ps = [p for p, k in enumerate(inner) if is_event(COUNT_A.get((i, k)), COUNT_B.get((k, j)))]
+            if ps:
+                events[i, j] = ps
+    return len(inner) - 1, events
+
+
+def counted_full_product(alg, expected_plus):
+    a, b = (
+        from_triples([(r, c, Value.number(n)) for (r, c), n in m.items()], alg)
+        for m in (COUNT_A, COUNT_B)
+    )
+    counting = dataclasses.replace(alg, plus_op=budgeted(alg.plus_op, expected_plus, "plus"))
+    got = matmul(a, b, counting)
+    assert counting.plus_op.calls == expected_plus
+    assert entries_of(got) == dense_matmul(entries_of(a), entries_of(b), alg)
+
+
+def test_full_fold_steps_a_leading_run_that_never_settles_once():
+    # times = a*b + 1 makes t00 = 1, and plus(acc, 1) = acc + 1 never repeats,
+    # so every run takes all its steps.  Events are the stored pairs.  The
+    # leading run takes last steps, once.  An entry's first event at p folds
+    # onto it in one call (none at p = 0), each later event at p after one at
+    # q takes p - q calls (its gap, then the term), and the tail last - pm.
+    last, events = event_positions(lambda x, y: x is not None and y is not None)
+    expected = last + sum((ps[0] > 0) + last - ps[0] for ps in events.values())
+    assert expected == 15  # re-stepping the leading run per entry would take 20
+    counted_full_product(differential_algebra("integer_ring_offset"), expected)
+
+
+def test_full_fold_leading_run_at_a_fixed_point_costs_one_call():
+    # t00 = times(0, 0) = 0 + 0 = 0 and every weight is positive, so every
+    # accumulator is >= 0 and a fixed point of max(acc, 0): each run stops
+    # after its first step, and the leading run costs one call per product.
+    # a(i, k) + 0 and 0 + b(k, j) are events, so one stored factor makes one.
+    # An entry's first event at p > 0 costs one call, each later one 1 plus
+    # 1 if a gap precedes it, and the tail 1 if it is not empty.
+    last, events = event_positions(lambda x, y: x is not None or y is not None)
+    expected = 1 + sum(
+        (ps[0] > 0)
+        + sum(1 + (p - q > 1) for q, p in zip(ps, ps[1:]))
+        + (ps[-1] < last)
+        for ps in events.values()
+    )
+    assert expected == 39  # re-stepping the leading run per entry would take 41
+    counted_full_product(make_builtin("max_plus_realzero"), expected)
+
+
 @pytest.mark.parametrize(
     "name, scan_calls",
     [("natural_arithmetic", 0), ("xor_and.alg", 4)],

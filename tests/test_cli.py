@@ -739,6 +739,55 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.stdout == b""
 
 
+def test_main_reenters_with_one_parser(capsys, monkeypatch, data_dir, golden_dir, tmp_path):
+    # One process calls main in turn: a subcommand with a family flag, one
+    # without it, a usage error, an adjacency, and witness with and without
+    # --output.  Each must give what a fresh process gives, so nothing one
+    # call parsed leaks into the next.  COLUMNS fixes the usage width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+
+    def in_process(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(*argv):
+        proc = run_module("assocarray", *argv, COLUMNS="80")
+        return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+    def same_as_fresh(*argv):
+        got = in_process(*argv)
+        assert got == fresh(*argv)
+        return got
+
+    assert same_as_fresh("validate", "--algebra", "max_min_chain", "--levels", "3")[0] == 0
+    # a --levels left over from the call before would exit 2
+    code, out, _ = same_as_fresh("validate", "--algebra", "natural")
+    assert (code, out) == (0, (golden_dir / "validate_natural.txt").read_text())
+    code, out, err = same_as_fresh("adjacency", "--algebra", "natural")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --input" in err
+    path = str(data_dir / "path.edges")
+    code, out, _ = same_as_fresh("adjacency", "--algebra", "natural", "--input", path)
+    assert (code, out) == (0, (golden_dir / "adjacency_path_natural.tsv").read_text())
+
+    witness = ["witness", "3", "--algebra", str(data_dir / "annihilator_right.alg")]
+    golden = (golden_dir / "witness3_annihilator.txt").read_text()
+    out_path, fresh_path = tmp_path / "in_process.txt", tmp_path / "fresh.txt"
+    code, out, err = in_process(*witness, "--output", str(out_path))
+    assert (code, out, err) == fresh(*witness, "--output", str(fresh_path))
+    assert (code, out) == (0, "")
+    assert out_path.read_text() == fresh_path.read_text() == golden
+    out_path.write_text("untouched\n")
+    code, out, _ = same_as_fresh(*witness)
+    assert (code, out) == (0, golden)
+    assert out_path.read_text() == "untouched\n"
+
+
 def test_stdout_is_utf8_whatever_the_locale_encoding(tmp_path):
     edges = tmp_path / "cjk.edges"
     edges.write_text("k1\t\u4e2d\tb\n", encoding="utf-8")
