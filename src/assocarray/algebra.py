@@ -83,10 +83,12 @@ class Algebra:
     text into a carrier member and raises ValueError on anything else.
 
     ``proved`` names the checks that hold in closed form.  Like
-    ``known_failures``, which maps each failing check to a witness, it
-    describes ``plus_op`` and ``times_op``: a ``dataclasses.replace`` that
-    changes either operation must restate both, and must keep ``lower`` and
-    ``lift`` the encoding its operations take.
+    ``known_failures``, which maps each failing check to a witness, and
+    ``times_commutes``, set when ``times_op(x, y) == times_op(y, x)`` on all
+    natives, it describes ``plus_op`` and ``times_op``: a
+    ``dataclasses.replace`` that changes either operation must restate all
+    three, and must keep ``lower`` and ``lift`` the encoding its operations
+    take.  Tables leave ``times_commutes`` False.
     """
 
     name: str
@@ -100,6 +102,7 @@ class Algebra:
     sample_op: Callable[[random.Random], Value] | None = None
     known_failures: Mapping[str, tuple[Value, ...]] = field(default_factory=dict)
     proved: frozenset[str] = frozenset()
+    times_commutes: bool = False
     lower: Callable[[Value], object] = _same
     lift: Callable[[object], Value] = _same
 
@@ -264,6 +267,7 @@ def _numbers(
         decode_op=_decoder(parse_number, member, f"is not in the carrier of {name}"),
         sample_op=lambda rng: Value.number(draw(rng)),
         lift=_lift_number,
+        times_commutes=True,  # * and + on numbers
         **laws,
     )
 
@@ -351,6 +355,7 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
         contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not a level of {name}"),
         carrier=carrier,
+        times_commutes=True,  # min
         proved=frozenset({
             CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is the bottom only when a or b is
@@ -397,6 +402,7 @@ def _max_min_strings() -> Algebra:
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
+        times_commutes=True,  # min
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
@@ -470,6 +476,7 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         known_failures=known_failures,
         lower=lower,
         lift=lift,
+        times_commutes=True,  # & on bitmasks
         proved=frozenset({
             CHECK_IDENTITY,  # {} | x = x and universe & x = x for every subset x
             CHECK_CRITERION1,  # a | b = {} only when a = b = {}

@@ -227,7 +227,8 @@ def matmul(
     When zero is proved inert (a two-sided plus identity and a two-sided
     times annihilator), every term with an unstored factor is zero and folds
     away, so the loop folds the outer product of the stored pairs alone; a
-    stored pair whose product is zero folds away too.
+    stored pair whose product is zero folds away too.  For XᵀX with times
+    commuting, (j, i) folds the terms of (i, j): only j >= i is folded.
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
     are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
@@ -255,7 +256,8 @@ def _product_t(
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
     """:func:`matmul` of ``transpose(at)`` and ``b``: the inner keys are the rows of both.
-    The full fold steps its leading ``t00`` run once, shared by every entry."""
+    The full fold steps its leading ``t00`` run once, shared by every entry.
+    With ``at is b`` and ``alg.times_commutes``, the inert loop folds j >= i and mirrors."""
     extra_rows = {check_key(k) for k in extra_row_keys}
     extra_cols = {check_key(k) for k in extra_col_keys}
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
@@ -265,6 +267,21 @@ def _product_t(
     if _zero_is_inert(alg):
         # Each stored value is lowered once.
         accs: dict[str, dict[str, object]] = {}
+        if at is b and alg.times_commutes:
+            for row in at_rows.values():
+                xs = list(zip(row, map(lower, row.values())))
+                for n, (i, x) in enumerate(xs):
+                    acc = accs.setdefault(i, {})
+                    for j, y in xs[n:]:  # (j, i) folds these terms too
+                        term = times(x, y)
+                        if term != z:
+                            acc[j] = plus(acc[j], term) if j in acc else term
+            rows = {i: {} for i in sorted(accs)}  # filled by ascending i, columns stay sorted
+            for i, row in rows.items():
+                for j, v in sorted(accs[i].items()):
+                    if v != z:
+                        row[j] = rows[j][i] = lift(v)
+            return _from_sorted_rows({i: row for i, row in rows.items() if row})
         for k, at_row in at_rows.items():
             b_row = b_rows.get(k)
             if not b_row:

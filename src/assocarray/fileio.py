@@ -70,9 +70,11 @@ def _field(role: str, line_no: int, field: str, read: Callable[[str], T], raw: s
 
 def _parse_triples(text: str, decode: Callable[[str], Value], role: str) -> list[Triple]:
     triples: list[Triple] = []
-    # keys that passed, so each distinct key is checked once; a failing key
-    # is never stored and raises on the first line holding it
+    # keys that passed and value texts decoded, so each distinct text is
+    # checked or decoded once; a failing text is never stored and raises on
+    # the first line holding it
     keys: set[str] = set()
+    values: dict[str, Value] = {}
     for line_no, line in _logical_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -84,7 +86,8 @@ def _parse_triples(text: str, decode: Callable[[str], Value], role: str) -> list
             keys.add(_field(role, line_no, "row key", _check_field_key, row))
         if col not in keys:
             keys.add(_field(role, line_no, "column key", _check_field_key, col))
-        value = _field(role, line_no, "value", decode, fields[2])
+        if (value := values.get(raw := fields[2])) is None:
+            value = values[raw] = _field(role, line_no, "value", decode, raw)
         triples.append((row, col, value))
     return triples
 

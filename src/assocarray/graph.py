@@ -227,7 +227,8 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
     an inconsistent array raises a precondition error naming the violation.
     Works although intersection can turn two nonempty sets into the empty set,
     which is exactly the structural loophole the consistency check closes.
-    ``alg`` is the powerset algebra E was built over.
+    ``alg`` is the powerset algebra E was built over.  Its intersection
+    commutes, so each unordered pair (i, j) is folded once and mirrored.
     """
     violation = check_word_consistency(E)
     if violation is not None:

@@ -34,7 +34,7 @@ from assocarray.array import (
 )
 from assocarray.errors import ValidationError
 from assocarray.fileio import parse_finite_algebra
-from assocarray.graph import EdgeRecord, incidence_arrays
+from assocarray.graph import EdgeRecord, document_adjacency, incidence_arrays, shared_words_array
 from assocarray.values import Value, decode_any
 
 
@@ -274,11 +274,14 @@ def reference_product(reference, a, b, alg, rows, cols):
     return stored_pairs_matmul(entries_of(a), entries_of(b), alg)
 
 
-@pytest.mark.parametrize(
+differential_cases = pytest.mark.parametrize(
     "name, reference",
     DIFFERENTIAL_CASES,
     ids=[f"{name}-{reference}" for name, reference in DIFFERENTIAL_CASES],
 )
+
+
+@differential_cases
 @given(data=st.data())
 def test_matmul_matches_dense_oracle(name, reference, data):
     alg, a, b, rows, cols = draw_operands(name, data)
@@ -287,11 +290,7 @@ def test_matmul_matches_dense_oracle(name, reference, data):
     check_invariants(got, alg)
 
 
-@pytest.mark.parametrize(
-    "name, reference",
-    DIFFERENTIAL_CASES,
-    ids=[f"{name}-{reference}" for name, reference in DIFFERENTIAL_CASES],
-)
+@differential_cases
 @given(data=st.data())
 def test_product_of_a_transpose_matches_dense_oracle(name, reference, data):
     # at is drawn, not built by transpose, so its rows (the inner keys) and
@@ -299,6 +298,18 @@ def test_product_of_a_transpose_matches_dense_oracle(name, reference, data):
     alg, at, b, rows, cols = draw_operands(name, data)
     got = _product_t(at, b, alg, extra_row_keys=rows, extra_col_keys=cols)
     assert entries_of(got) == reference_product(reference, transpose(at), b, alg, rows, cols)
+    check_invariants(got, alg)
+
+
+@differential_cases
+@given(data=st.data())
+def test_product_of_a_transpose_with_itself_matches_dense_oracle(name, reference, data):
+    # at is b: where zero is inert and times commutes, each unordered pair is
+    # folded once and mirrored.  noncommutative.alg has an inert zero but a
+    # times that does not commute, so it must keep the general loop.
+    alg, x, _, rows, cols = draw_operands(name, data)
+    got = _product_t(x, x, alg, extra_row_keys=rows, extra_col_keys=cols)
+    assert entries_of(got) == reference_product(reference, transpose(x), x, alg, rows, cols)
     check_invariants(got, alg)
 
 
@@ -466,6 +477,25 @@ def test_matmul_skips_a_law_scan_that_costs_more_than_it_saves():
         ps, plus_op=budgeted(ps.plus_op, 10, "plus"), times_op=budgeted(ps.times_op, 10, "times")
     )
     assert entries_of(matmul(a, b, counting)) == {("i", "j"): x}
+
+
+def test_document_adjacency_folds_each_unordered_pair_once():
+    # Row k of E, with n_k stored entries, holds n_k (n_k + 1) / 2 pairs
+    # j >= i and n_k^2 ordered pairs.  Powerset proves zero inert, so no law
+    # scan calls times; without times_commutes every ordered pair is folded.
+    docs = {"d1": "a b c", "d2": "b c d", "d3": "d e", "d4": "a e f", "d5": "g", "d6": "c f"}
+    E = shared_words_array({doc: words.split() for doc, words in docs.items()})
+    ps = make_builtin("powerset", universe=sorted("abcdefg"))
+    ns = [len(cols) for cols in E.rows.values()]
+    pairs, ordered = sum(n * (n + 1) // 2 for n in ns), sum(n * n for n in ns)
+    products = []
+    for commutes, n_times in ((True, pairs), (False, ordered)):
+        counting = dataclasses.replace(
+            ps, times_commutes=commutes, times_op=budgeted(ps.times_op, n_times, "times")
+        )
+        products.append(list(document_adjacency(E, counting)))
+        assert counting.times_op.calls == n_times
+    assert products[0] == products[1]  # entries, row order and column order
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):

@@ -169,6 +169,19 @@ def test_builtin_facts_replay_against_the_checker(family, params):
             assert verdict.witness == alg.known_failures[name]
 
 
+@pytest.mark.parametrize(
+    "family, params", FACT_FAMILIES, ids=[family_id(*case) for case in FACT_FAMILIES]
+)
+def test_builtin_times_commutes_on_its_natives(family, params):
+    # The symmetric product relies on this flag; validate reports no check for it.
+    alg = make_builtin(family, **params)
+    assert alg.times_commutes
+    rng = random.Random(7)
+    for _ in range(200):
+        x, y = alg.lower(alg.sample(rng)), alg.lower(alg.sample(rng))
+        assert alg.times_op(x, y) == alg.times_op(y, x)
+
+
 def test_facts_of_the_largest_chain_partition_the_checks():
     # The sets alone: scanning 4096 levels pairwise is what the proofs spare.
     chain = make_builtin("max_min_chain", levels=4096)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -100,6 +101,25 @@ def test_parse_triples_rejects_non_canonical_numbers(raw):
     assert exc_info.value.line_no == 2
     assert exc_info.value.field == "value"
     assert "not canonical" in exc_info.value.message
+
+
+def test_parse_triples_decodes_each_distinct_value_text_once(naturals):
+    decoded = []
+
+    def counted(text):
+        decoded.append(text)
+        return naturals.decode_op(text)
+
+    counting = dataclasses.replace(naturals, decode_op=counted)
+    triples = parse_triples("a\tb\t1\na\tc\t2\nb\tb\t1\nc\tc\t2\nc\ta\t1\n", counting)
+    assert [v for _, _, v in triples] == [1, 2, 1, 2, 1]
+    assert decoded == ["1", "2"]
+    # a text that fails is never stored, so it fails on the first line holding it
+    decoded.clear()
+    with pytest.raises(ParseError) as exc_info:
+        parse_triples("a\tb\t1\na\tc\t-1\nb\tb\t1\n# skip\nc\tc\t-1\n", counting)
+    assert (exc_info.value.line_no, exc_info.value.field) == (2, "value")
+    assert decoded == ["1", "-1"]
 
 
 def test_parse_triples_diagnostics_are_deterministic(naturals):
