@@ -52,12 +52,12 @@ from .fileio import (
     serialize_triples,
 )
 from .graph import (
-    EdgeRecord,
     Graph,
     IncidencePair,
     WordOverlapViolation,
     adjacency,
     adjacency_oracle,
+    build_graph,
     check_word_consistency,
     document_adjacency,
     incidence_arrays,
@@ -73,7 +73,6 @@ __all__ = [
     "ConfigurationError",
     "CriteriaReport",
     "DomainError",
-    "EdgeRecord",
     "FiniteAlgebraSpec",
     "Graph",
     "IncidencePair",
@@ -89,6 +88,7 @@ __all__ = [
     "WordOverlapViolation",
     "adjacency",
     "adjacency_oracle",
+    "build_graph",
     "check",
     "check_word_consistency",
     "decode_any",

@@ -242,8 +242,9 @@ def matmul(
     coordinates beyond the stored key sets, so products against rows or
     columns that exist only implicitly (all zero) can still be observed.
     """
-    return _product_t(
-        transpose(a), b, alg, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
+    at = transpose(a)
+    return _product_t(  # b itself when it equals transpose(a), so XᵀX takes the walk
+        b if at == b else at, b, alg, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
     )
 
 

@@ -40,6 +40,7 @@ from .criteria import (
 )
 from .errors import AssocArrayError, ConfigurationError, PreconditionError
 from .fileio import (
+    parse_edge_list,
     parse_finite_algebra,
     parse_set_triples,
     read_text,
@@ -51,12 +52,9 @@ from .graph import (
     adjacency,
     check_word_consistency,
     document_adjacency,
+    incidence_arrays,
     reverse_adjacency,
 )
-# The CLI's incidence pair takes over the parse's side maps, by edge key; the
-# parse refuses all that incidence_arrays checks.  perfbench wraps these names.
-from .fileio import _parse_edge_sides as parse_edge_list
-from .graph import _incidence_pair as incidence_arrays
 from .values import encode_value
 
 _ALIASES = {
@@ -106,7 +104,7 @@ def _write_output(args: argparse.Namespace, data: str) -> None:
 
 def cmd_adjacency(args: argparse.Namespace) -> int:
     alg = resolve_algebra(args)
-    sources, targets = parse_edge_list(read_text(args.input), alg, role=args.input)
+    g = parse_edge_list(read_text(args.input), alg, role=args.input)
     # A proved check holds; check replays a known failure or scans the rest.
     failed = [name for name in CHECK_LABELS if name not in alg.proved and not check(alg, name).passed]
     if failed:
@@ -115,13 +113,13 @@ def cmd_adjacency(args: argparse.Namespace) -> int:
             for name in failed
         )
         print(f"warning: {alg.name} is not certified: {parts}", file=sys.stderr)
-    pair = incidence_arrays(sources, targets)
+    pair = incidence_arrays(g)
     reverse = args.subcommand == "reverse-adjacency"
     adj = reverse_adjacency(pair, alg) if reverse else adjacency(pair, alg)
     _write_output(args, serialize_triples(adj))
     vertices = set(pair.e_out.col_keys).union(pair.e_in.col_keys)
     print(
-        f"vertices={len(vertices)} edges={len(sources)} nonzeros={adj.nnz}",
+        f"vertices={len(vertices)} edges={len(g.sources)} nonzeros={adj.nnz}",
         file=sys.stderr,
     )
     return 0

@@ -30,10 +30,10 @@ from .algebra import (
 from .array import AssociativeArray, get, support
 from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
 from .graph import (
-    EdgeRecord,
     Graph,
     adjacency,
     adjacency_oracle,
+    build_graph,
     incidence_arrays,
 )
 from .values import Value, encode_value
@@ -233,10 +233,7 @@ def witness_additive_inverse(v: Value, w: Value, alg: Algebra) -> WitnessCase:
             f"{encode_value(w)}*{encode_value(one)} to be zero for the in-weights, "
             f"got {encode_value(alg.lift(entry))} in {alg.name}"
         )
-    graph = (
-        EdgeRecord("k1", sources={"a": v}, targets={"b": one}),
-        EdgeRecord("k2", sources={"a": w}, targets={"b": one}),
-    )
+    graph = build_graph((("k1", {"a": v}, {"b": one}), ("k2", {"a": w}, {"b": one})), alg)
     return WitnessCase(
         criterion=1,
         graph=graph,
@@ -251,7 +248,7 @@ def witness_additive_inverse(v: Value, w: Value, alg: Algebra) -> WitnessCase:
 def witness_zero_product(v: Value, w: Value, alg: Algebra) -> WitnessCase:
     """Self-loop at a with out-weight v and in-weight w, where v times w is zero."""
     _require_violation(alg, CHECK_CRITERION2, (v, w))
-    graph = (EdgeRecord("k", sources={"a": v}, targets={"a": w}),)
+    graph = build_graph((("k", {"a": v}, {"a": w}),), alg)
     return WitnessCase(
         criterion=2,
         graph=graph,
@@ -291,7 +288,7 @@ def witness_annihilator(v: Value, alg: Algebra) -> WitnessCase:
         sides.append(f"0 times {encode_value(v)} is nonzero, inventing (b, a)")
     if zero_v:
         sides.append("0 times 0 is nonzero, inventing (b, b)")
-    graph = (EdgeRecord("k", sources={"a": v}, targets={"a": v}),)
+    graph = build_graph((("k", {"a": v}, {"a": v}),), alg)
     return WitnessCase(
         criterion=3,
         graph=graph,
@@ -320,12 +317,13 @@ class MismatchReport:
 def demonstrate(wc: WitnessCase, alg: Algebra) -> MismatchReport:
     """Run the witness graph and report the adjacency/oracle disagreement.
 
-    The oracle is recomputed and compared with the case's expectation, and a
-    clean run (no disagreement) raises an internal consistency error: a
-    witness that fails to demonstrate anything means the checker and the
-    construction have drifted apart.
+    The case's graph must have been built for ``alg``, as the witness
+    builders build it.  The oracle is recomputed and compared with the
+    case's expectation, and a clean run (no disagreement) raises an internal
+    consistency error: a witness that fails to demonstrate anything means
+    the checker and the construction have drifted apart.
     """
-    pair = incidence_arrays(wc.graph, alg)
+    pair = incidence_arrays(wc.graph)
     oracle = adjacency_oracle(pair)
     if oracle != wc.expected_oracle:
         raise InternalConsistencyError(

@@ -17,7 +17,7 @@ from typing import Callable, TypeVar
 from .algebra import Algebra, FiniteAlgebraSpec
 from .array import AssociativeArray, Triple, _check_field_key
 from .errors import AssocArrayError, ValidationError
-from .graph import EdgeRecord, Graph, SideMaps
+from .graph import Graph, SideMaps
 from .values import Value, decode_any, encode_value, parse_token_set
 
 
@@ -128,14 +128,9 @@ def parse_edge_list(text: str, alg: Algebra, *, role: str = "edge-list") -> Grap
 
     Repeated edge keys accumulate sources and targets into one hyperedge.
     Re-stating an endpoint the edge already has is allowed only with the same
-    weight: a conflict would mean silently discarding data.
+    weight: a conflict would mean silently discarding data.  The parse checks
+    all that :func:`~assocarray.graph.build_graph` checks, naming the line.
     """
-    sources, targets = _parse_edge_sides(text, alg, role=role)
-    return tuple(EdgeRecord(k, side, targets[k]) for k, side in sources.items())
-
-
-def _parse_edge_sides(text: str, alg: Algebra, *, role: str) -> tuple[SideMaps, SideMaps]:
-    """:func:`parse_edge_list`'s edges as their source and target maps."""
     sources: SideMaps = {}
     targets: SideMaps = {}
     # texts that passed, so each distinct text is checked or decoded once;
@@ -192,18 +187,19 @@ def _parse_edge_sides(text: str, alg: Algebra, *, role: str) -> tuple[SideMaps, 
             raise conflict(line_no, "source", src, old, out_w)
         if (old := in_side.setdefault(dst, in_w)) is not in_w and old != in_w:
             raise conflict(line_no, "target", dst, old, in_w)
-    return sources, targets
+    return Graph(sources, targets)
 
 
 def serialize_edge_list(g: Graph) -> str:
     """Emit one line per (source, target) pair of each edge, weights explicit."""
     lines = []
-    for edge in sorted(g, key=lambda e: e.key):
-        for src in sorted(edge.sources):
-            for dst in sorted(edge.targets):
+    for key in sorted(g.sources):
+        out_side, in_side = g.sources[key], g.targets[key]
+        for src in sorted(out_side):
+            for dst in sorted(in_side):
                 lines.append(
-                    f"{edge.key}\t{src}\t{dst}"
-                    f"\t{encode_value(edge.sources[src])}\t{encode_value(edge.targets[dst])}\n"
+                    f"{key}\t{src}\t{dst}"
+                    f"\t{encode_value(out_side[src])}\t{encode_value(in_side[dst])}\n"
                 )
     return "".join(lines)
 

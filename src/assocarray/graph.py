@@ -1,11 +1,12 @@
 """Graphs as incidence arrays and their adjacency products.
 
-A graph is a list of edge records, each carrying weighted source and target
-vertex maps (hyperedges are allowed: several sources or targets per edge).
-The incidence view stores two arrays with edge keys as rows and vertices as
-columns; the adjacency array of the graph is the product of the transposed
-out-incidence with the in-incidence, and reversing the product order yields
-the adjacency of the reversed graph.
+A graph holds, per side, a map from each edge key to its weighted vertices:
+the sources the edge leaves and the targets it enters (hyperedges are
+allowed: several sources or targets per edge).  The incidence view stores
+two arrays with edge keys as rows and vertices as columns; the adjacency
+array of the graph is the product of the transposed out-incidence with the
+in-incidence, and reversing the product order yields the adjacency of the
+reversed graph.
 
 ``adjacency_oracle`` answers the same question by direct enumeration and is
 the ground truth the product is compared against: the two agree exactly when
@@ -33,18 +34,53 @@ from .array import (
 from .errors import DomainError, PreconditionError, ValidationError
 from .values import Value
 
+SideMaps = dict[str, dict[str, Value]]  # one side's weighted vertices, by edge key
+
 
 @dataclass(frozen=True)
-class EdgeRecord:
-    """One edge: a key, weighted sources, and weighted targets."""
+class Graph:
+    """Per side, edge key -> vertex -> weight, checked for one algebra.
 
-    key: str
-    sources: Mapping[str, Value]
-    targets: Mapping[str, Value]
+    Build it with :func:`~assocarray.fileio.parse_edge_list` or
+    :func:`build_graph`, which refuse a bad key, a repeated edge key, an
+    empty side and a zero or non-carrier weight.  :func:`incidence_arrays`
+    shares the maps with its arrays, so neither may be mutated.
+    """
+
+    sources: SideMaps
+    targets: SideMaps
 
 
-Graph = tuple[EdgeRecord, ...]
-SideMaps = dict[str, dict[str, Value]]  # one side's weighted vertices, by edge key
+def build_graph(edges: Iterable[tuple[str, Mapping, Mapping]], alg: Algebra) -> Graph:
+    """Check ``(key, sources, targets)`` edges in order; each side is copied.
+
+    Per edge: its key, no earlier edge with that key, then per side its
+    emptiness before each vertex's key, carrier membership and nonzero
+    weight.  A zero weight is refused rather than dropped, since a stored
+    edge with an unstored weight would make the sparsity pattern lie.
+    """
+    sources: SideMaps = {}
+    targets: SideMaps = {}
+    vertices: set[str] = set()  # vertex keys that passed check_key
+    for key, out_side, in_side in edges:
+        check_key(key)
+        if key in sources:
+            raise ValidationError(f"duplicate edge key {key!r}")
+        for side, name, maps in ((out_side, "sources", sources), (in_side, "targets", targets)):
+            if not side:
+                raise ValidationError(f"edge {key!r} has no {name}")
+            for vertex, weight in side.items():
+                if vertex not in vertices:
+                    vertices.add(check_key(vertex))
+                if not alg.contains_op(weight):
+                    raise ValidationError(
+                        f"edge {key!r} weight {weight!r} at {vertex!r} "
+                        f"is outside the carrier of {alg.name}"
+                    )
+                if weight == alg.zero:
+                    raise ValidationError(f"edge {key!r} has zero weight at vertex {vertex!r}")
+            maps[key] = dict(side)
+    return Graph(sources, targets)
 
 
 @dataclass(frozen=True)
@@ -60,48 +96,15 @@ class IncidencePair:
     e_in: AssociativeArray
 
 
-def incidence_arrays(g: Graph, alg: Algebra) -> IncidencePair:
-    """Build the incidence pair, rejecting zero or non-carrier weights.
+def incidence_arrays(g: Graph) -> IncidencePair:
+    """The incidence pair, taking the checked graph's maps over as rows.
 
-    A zero weight is refused rather than silently dropped because a stored
-    structural edge with an unstored weight would make the sparsity pattern
-    lie about the graph.
-    """
-    keys: set[str] = set()  # edge keys seen so far
-    vertices: set[str] = set()  # vertex keys that passed check_key
-    for edge in g:
-        check_key(edge.key)
-        if edge.key in keys:
-            raise ValidationError(f"duplicate edge key {edge.key!r}")
-        keys.add(edge.key)
-        for side, name in ((edge.sources, "sources"), (edge.targets, "targets")):
-            if not side:
-                raise ValidationError(f"edge {edge.key!r} has no {name}")
-            for vertex, weight in side.items():
-                if vertex not in vertices:
-                    vertices.add(check_key(vertex))
-                if not alg.contains_op(weight):
-                    raise ValidationError(
-                        f"edge {edge.key!r} weight {weight!r} at {vertex!r} "
-                        f"is outside the carrier of {alg.name}"
-                    )
-                if weight == alg.zero:
-                    raise ValidationError(
-                        f"edge {edge.key!r} has zero weight at vertex {vertex!r}"
-                    )
-    return _incidence_pair({e.key: dict(e.sources) for e in g}, {e.key: dict(e.targets) for e in g})
-
-
-def _incidence_pair(sources: SideMaps, targets: SideMaps) -> IncidencePair:
-    """The incidence pair of a graph :func:`incidence_arrays` accepts, unchecked.
-
-    The caller hands the side maps over, and the arrays keep them as rows.
     No weight is zero, so nothing is dropped.  The edge keys are sorted once;
     a one-vertex side is sorted already, and any other becomes a sorted copy.
     """
-    keys = sorted(sources)
+    keys = sorted(g.sources)
     arrays = []
-    for sides in (sources, targets):
+    for sides in (g.sources, g.targets):
         rows = {k: sides[k] for k in keys}
         for k, side in rows.items():
             if len(side) > 1:

@@ -8,12 +8,12 @@ import pytest
 from assocarray import (
     Algebra,
     AssociativeArray,
-    EdgeRecord,
     FiniteAlgebraSpec,
     Graph,
     ValidationError,
     adjacency,
     adjacency_oracle,
+    build_graph,
     encode_value,
     from_finite_spec,
     incidence_arrays,
@@ -164,15 +164,13 @@ def random_graph(alg: Algebra, rng: random.Random) -> Graph:
         targets = {rng.choice(vertices): alg.sample_nonzero(rng)}
         if rng.random() < 0.1:
             targets.setdefault(rng.choice(vertices), alg.sample_nonzero(rng))
-        edges.append(EdgeRecord(key=f"e{i:02d}", sources=sources, targets=targets))
-    return tuple(edges)
+        edges.append((f"e{i:02d}", sources, targets))
+    return build_graph(edges, alg)
 
 
 def reverse(g: Graph) -> Graph:
     """Swap every edge's sources and targets."""
-    return tuple(
-        EdgeRecord(key=e.key, sources=e.targets, targets=e.sources) for e in g
-    )
+    return Graph(sources=g.targets, targets=g.sources)
 
 
 def check_transpose_identity(A: AssociativeArray, B: AssociativeArray, alg: Algebra) -> bool:
@@ -306,7 +304,7 @@ def certified_corpus():
         bucket = []
         for _ in range(CORPUS_GRAPHS_PER_ALGEBRA):
             g = random_graph(alg, rng)
-            pair = incidence_arrays(g, alg)
+            pair = incidence_arrays(g)
             bucket.append(
                 CorpusEntry(
                     graph=g,
@@ -319,8 +317,8 @@ def certified_corpus():
     return Corpus(entries, time.perf_counter() - started)
 
 
-def reversed_oracle(entry, alg):
-    return adjacency_oracle(incidence_arrays(reverse(entry.graph), alg))
+def reversed_oracle(entry):
+    return adjacency_oracle(incidence_arrays(reverse(entry.graph)))
 
 
 def reverse_adj(entry, alg):

@@ -34,7 +34,7 @@ from assocarray.array import (
 )
 from assocarray.errors import ValidationError
 from assocarray.fileio import parse_finite_algebra
-from assocarray.graph import EdgeRecord, document_adjacency, incidence_arrays, shared_words_array
+from assocarray.graph import build_graph, document_adjacency, incidence_arrays, shared_words_array
 from assocarray.values import Value, decode_any
 
 
@@ -125,7 +125,7 @@ def test_keys_that_would_not_read_back_are_rejected(naturals, ch):
     with pytest.raises(ValidationError, match="tab or line break"):
         from_triples([(f"a{ch}b", "c", one)], naturals)
     with pytest.raises(ValidationError, match="tab or line break"):
-        incidence_arrays((EdgeRecord("k", {f"a{ch}b": one}, {"c": one}),), naturals)
+        build_graph([("k", {f"a{ch}b": one}, {"c": one})], naturals)
 
 
 def test_from_triples_folds_duplicates_in_order(naturals):
@@ -331,15 +331,15 @@ def adjacency_operands(alg, weights, n_vertices, n_edges, seed):
     have one source and one target."""
     rng = random.Random(seed)
     vertices = [f"v{n:03d}" for n in range(n_vertices)]
-    graph = tuple(
-        EdgeRecord(
-            key=f"e{n:04d}",
-            sources={rng.choice(vertices): rng.choice(weights)},
-            targets={rng.choice(vertices): rng.choice(weights)},
-        )
-        for n in range(n_edges)
+    graph = build_graph(
+        (
+            (f"e{n:04d}", {rng.choice(vertices): rng.choice(weights)},
+             {rng.choice(vertices): rng.choice(weights)})
+            for n in range(n_edges)
+        ),
+        alg,
     )
-    pair = incidence_arrays(graph, alg)
+    pair = incidence_arrays(graph)
     return transpose(pair.e_out), pair.e_in
 
 
@@ -483,6 +483,7 @@ def test_document_adjacency_folds_each_unordered_pair_once():
     # Row k of E, with n_k stored entries, holds n_k (n_k + 1) / 2 pairs
     # j >= i and n_k^2 ordered pairs.  Powerset proves zero inert, so no law
     # scan calls times; without times_commutes every ordered pair is folded.
+    # matmul(transpose(E), E) is the same product and takes the same loop.
     docs = {"d1": "a b c", "d2": "b c d", "d3": "d e", "d4": "a e f", "d5": "g", "d6": "c f"}
     E = shared_words_array({doc: words.split() for doc, words in docs.items()})
     ps = make_builtin("powerset", universe=sorted("abcdefg"))
@@ -490,12 +491,13 @@ def test_document_adjacency_folds_each_unordered_pair_once():
     pairs, ordered = sum(n * (n + 1) // 2 for n in ns), sum(n * n for n in ns)
     products = []
     for commutes, n_times in ((True, pairs), (False, ordered)):
-        counting = dataclasses.replace(
-            ps, times_commutes=commutes, times_op=budgeted(ps.times_op, n_times, "times")
-        )
-        products.append(list(document_adjacency(E, counting)))
-        assert counting.times_op.calls == n_times
-    assert products[0] == products[1]  # entries, row order and column order
+        for product in (document_adjacency, lambda x, alg: matmul(transpose(x), x, alg)):
+            counting = dataclasses.replace(
+                ps, times_commutes=commutes, times_op=budgeted(ps.times_op, n_times, "times")
+            )
+            products.append(list(product(E, counting)))
+            assert counting.times_op.calls == n_times
+    assert all(p == products[0] for p in products)  # entries, row order and column order
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):

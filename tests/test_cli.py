@@ -404,17 +404,17 @@ ADJACENCY_CASES = [
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_adjacency_writes_what_the_checked_ingest_gives(command, algebra, weights, data):
-    # The CLI builds its incidence pair from the parse's side maps, unchecked;
-    # the pair, the triples, the summary line, or the refusal must be the
-    # checked path's.  Both product loops sort their output, so only the
-    # pair's invariants show a side left unsorted.
+    # The CLI's incidence pair takes the parsed graph's maps over; the pair,
+    # the triples, the summary line, or the refusal must be the library
+    # path's.  Both product loops sort their output, so only the pair's
+    # invariants show a side left unsorted.
     text = data.draw(multigraph_text_st(weights))
     argv = [command, "--algebra", algebra, "--input"]
     alg = cli.resolve_algebra(cli.build_parser().parse_args([*argv, "input"]))
-    unchecked, built = cli.incidence_arrays, []
+    original, built = cli.incidence_arrays, []
 
-    def incidence_pair(*args):
-        built.append(unchecked(*args))
+    def incidence_pair(g):
+        built.append(original(g))
         return built[-1]
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -431,7 +431,7 @@ def test_adjacency_writes_what_the_checked_ingest_gives(command, algebra, weight
             assert (code, out.getvalue(), built) == (2, "", [])
             assert err.getvalue() == f"error: {exc}\n"
             return
-    p = incidence_arrays(g, alg)
+    p = incidence_arrays(g)
     assert built == [p]
     check_invariants(built[0].e_out, alg)
     check_invariants(built[0].e_in, alg)
@@ -439,7 +439,7 @@ def test_adjacency_writes_what_the_checked_ingest_gives(command, algebra, weight
     vertices = set(p.e_out.col_keys) | set(p.e_in.col_keys)
     assert (code, out.getvalue()) == (0, serialize_triples(adj))
     assert err.getvalue().splitlines()[-1] == (
-        f"vertices={len(vertices)} edges={len(g)} nonzeros={adj.nnz}"
+        f"vertices={len(vertices)} edges={len(g.sources)} nonzeros={adj.nnz}"
     )
 
 

@@ -35,9 +35,10 @@ from assocarray.errors import (
     PreconditionError,
 )
 from assocarray.graph import (
-    EdgeRecord,
+    Graph,
     adjacency,
     adjacency_oracle,
+    build_graph,
     incidence_arrays,
     reverse_adjacency,
 )
@@ -275,9 +276,10 @@ def test_witness_additive_inverse_shape(integers):
     wc = witness_additive_inverse(Value.number(2), Value.number(-2), integers)
     assert wc.criterion == 1
     assert wc.expected_oracle == {("a", "b")}
-    assert len(wc.graph) == 2
-    assert wc.graph[0].sources == {"a": Value.number(2)}
-    assert wc.graph[0].targets == {"b": integers.one}
+    assert wc.graph == Graph(
+        {"k1": {"a": Value.number(2)}, "k2": {"a": Value.number(-2)}},
+        {"k1": {"b": integers.one}, "k2": {"b": integers.one}},
+    )
 
 
 def test_witness_additive_inverse_rejects_non_inverses(naturals, integers):
@@ -367,9 +369,10 @@ def test_demonstrate_rejects_wrong_expected_oracle(integers):
 
 
 def test_demonstrate_requires_an_actual_mismatch(naturals):
-    graph = (
-        EdgeRecord("k1", {"a": Value.number(1)}, {"b": Value.number(1)}),
-        EdgeRecord("k2", {"a": Value.number(1)}, {"b": Value.number(1)}),
+    graph = build_graph(
+        [("k1", {"a": Value.number(1)}, {"b": Value.number(1)}),
+         ("k2", {"a": Value.number(1)}, {"b": Value.number(1)})],
+        naturals,
     )
     clean = WitnessCase(
         criterion=1,
@@ -484,9 +487,9 @@ def assert_the_claim_holds(alg, graphs):
         rng = random.Random(0)
         for _ in range(graphs):
             g = random_graph(alg, rng)
-            pair = incidence_arrays(g, alg)
+            pair = incidence_arrays(g)
             assert support(adjacency(pair, alg)) == adjacency_oracle(pair)
-            reversed_pair = incidence_arrays(reverse(g), alg)
+            reversed_pair = incidence_arrays(reverse(g))
             assert support(reverse_adjacency(pair, alg)) == adjacency_oracle(reversed_pair)
     return report.certified
 
@@ -520,7 +523,7 @@ def test_an_identity_failure_shows_in_the_support_of_all_but_one_two_element_alg
 
     def support_differs(alg):
         for seed in range(300):
-            pair = incidence_arrays(random_graph(alg, random.Random(seed)), alg)
+            pair = incidence_arrays(random_graph(alg, random.Random(seed)))
             if support(adjacency(pair, alg)) != adjacency_oracle(pair):
                 return True
         return False

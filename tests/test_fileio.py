@@ -12,7 +12,6 @@ from assocarray.fileio import (
     ParseError,
     _field,
     _logical_lines,
-    _parse_edge_sides,
     _split_top_level_commas,
     parse_edge_list,
     parse_finite_algebra,
@@ -22,7 +21,7 @@ from assocarray.fileio import (
     serialize_edge_list,
     serialize_triples,
 )
-from assocarray.graph import EdgeRecord, _incidence_pair, incidence_arrays
+from assocarray.graph import Graph, build_graph, incidence_arrays
 from assocarray.values import Value, encode_value
 from conftest import load_algebra_file, random_graph
 
@@ -171,28 +170,22 @@ def test_triples_roundtrip(raw):
 
 def test_parse_edge_list_defaults_to_one(naturals):
     g = parse_edge_list("k1\ta\tb\n", naturals)
-    assert g == (
-        type(g[0])(key="k1", sources={"a": naturals.one}, targets={"b": naturals.one}),
-    )
+    assert g == Graph({"k1": {"a": naturals.one}}, {"k1": {"b": naturals.one}})
 
 
 def test_parse_edge_list_accumulates_hyperedges(naturals):
     g = parse_edge_list("k1\ta\tc\nk1\tb\tc\n", naturals)
-    assert len(g) == 1
-    assert g[0].sources == {"a": naturals.one, "b": naturals.one}
-    assert g[0].targets == {"c": naturals.one}
+    assert g == Graph({"k1": {"a": naturals.one, "b": naturals.one}}, {"k1": {"c": naturals.one}})
 
 
 def test_parse_edge_list_explicit_weights(integers):
     g = parse_edge_list("k\ta\tb\t2\t-3\n", integers)
-    assert g[0].sources == {"a": Value.number(2)}
-    assert g[0].targets == {"b": Value.number(-3)}
+    assert g == Graph({"k": {"a": Value.number(2)}}, {"k": {"b": Value.number(-3)}})
 
 
 def test_parse_edge_list_out_weight_only(integers):
     g = parse_edge_list("k\ta\tb\t5\n", integers)
-    assert g[0].sources == {"a": Value.number(5)}
-    assert g[0].targets == {"b": integers.one}
+    assert g == Graph({"k": {"a": Value.number(5)}}, {"k": {"b": integers.one}})
 
 
 def test_parse_edge_list_rejects_zero_weight(naturals):
@@ -277,10 +270,7 @@ def test_parse_edge_list_fails_on_a_line_or_round_trips(alg, text):
     except ParseError as exc:
         assert 1 <= exc.line_no <= max(1, len(text.splitlines()))
         return
-    again = parse_edge_list(serialize_edge_list(g), alg)
-    assert {e.key: (e.sources, e.targets) for e in again} == {
-        e.key: (e.sources, e.targets) for e in g
-    }
+    assert parse_edge_list(serialize_edge_list(g), alg) == g
 
 
 def edge_list_st(weights):
@@ -314,23 +304,21 @@ def edge_list_st(weights):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_parsed_edge_list_is_a_valid_graph_with_the_parsed_rows(alg, text_st, data):
-    # parse_edge_list enforces every rule incidence_arrays checks, so the
-    # checked graph's rows are exactly the parsed per-edge maps, and the CLI's
-    # unchecked build from the parse's side maps gives the same pair, equal to
-    # the triples construction in entries, iteration order and key sets.
+    # parse_edge_list enforces every rule build_graph checks: build_graph
+    # accepts the parsed graph's edges and gives that graph back, and the
+    # incidence rows are exactly the parsed per-edge maps, equal to the
+    # triples construction in entries, iteration order and key sets.
     text = data.draw(text_st)
     try:
         g = parse_edge_list(text, alg)
     except ParseError:
         return
-    p = incidence_arrays(g, alg)
-    assert p.e_out.rows == {e.key: e.sources for e in g}
-    assert p.e_in.rows == {e.key: e.targets for e in g}
-    fast = _incidence_pair(*_parse_edge_sides(text, alg, role="edge-list"))
-    assert fast == p
-    for arr, checked, side in ((fast.e_out, p.e_out, "sources"), (fast.e_in, p.e_in, "targets")):
-        ref = from_triples([(e.key, v, w) for e in g for v, w in getattr(e, side).items()], alg)
-        assert list(arr) == list(checked) == list(ref)
+    assert build_graph(((k, g.sources[k], g.targets[k]) for k in g.sources), alg) == g
+    p = incidence_arrays(g)
+    assert (p.e_out.rows, p.e_in.rows) == (g.sources, g.targets)
+    for arr, maps in ((p.e_out, g.sources), (p.e_in, g.targets)):
+        ref = from_triples([(k, v, w) for k, side in maps.items() for v, w in side.items()], alg)
+        assert list(arr) == list(ref)
         assert (arr.row_keys, arr.col_keys) == (ref.row_keys, ref.col_keys)
 
 
@@ -368,14 +356,15 @@ def _parse_edge_list_unmemoized(text, alg, role="edge-list"):
                     f"conflicting weights {encode_value(side[vertex])} and {encode_value(w)}",
                 )
             side[vertex] = w
-    return tuple(EdgeRecord(key=k, sources=side, targets=targets[k]) for k, side in sources.items())
+    return Graph(sources, targets)
 
 
 def _parse_outcome(parse, text, alg):
     try:
-        return parse(text, alg)
+        g = parse(text, alg)
     except ParseError as exc:
         return (exc.line_no, exc.field, exc.message)
+    return [(k, g.sources[k], g.targets[k]) for k in g.sources]  # the edges in order
 
 
 MEMO_CASES = [
@@ -429,7 +418,7 @@ def test_parse_edge_list_refuses_an_omitted_weight_after_an_explicit_one(max_plu
 
 def test_parse_edge_list_catches_a_conflict_between_memoized_weights(naturals):
     g = parse_edge_list("k1\ta\tb\t2\t3\nk2\tc\td\t3\t2\n", naturals)
-    assert g[0].sources["a"] is g[1].targets["d"]  # equal texts share one value
+    assert g.sources["k1"]["a"] is g.targets["k2"]["d"]  # equal texts share one value
     with pytest.raises(ParseError) as exc_info:
         parse_edge_list("k1\ta\tb\t2\t3\nk2\tc\td\t3\t2\nk1\ta\tc\t3\t2\n", naturals)
     err = exc_info.value

@@ -19,14 +19,14 @@ from assocarray.algebra import Algebra, make_builtin
 from assocarray.array import _zero_is_inert, empty, from_triples, support
 from assocarray.criteria import demonstrate, witness_annihilator
 from assocarray.errors import DomainError, PreconditionError, ValidationError
-from assocarray.fileio import _parse_edge_sides, parse_edge_list
+from assocarray.fileio import parse_edge_list
 from assocarray.graph import (
-    EdgeRecord,
+    Graph,
     IncidencePair,
     WordOverlapViolation,
-    _incidence_pair,
     adjacency,
     adjacency_oracle,
+    build_graph,
     check_word_consistency,
     document_adjacency,
     incidence_arrays,
@@ -38,28 +38,28 @@ from assocarray.values import Value
 ONE = Value.number(1)
 
 
-def simple_graph(*edges):
-    return tuple(
-        EdgeRecord(key, {src: ONE}, {dst: ONE}) for key, src, dst in edges
-    )
+def simple_edges(*edges):
+    return [(key, {src: ONE}, {dst: ONE}) for key, src, dst in edges]
 
 
-PATH = simple_graph(("e1", "a", "b"), ("e2", "b", "c"))
+PATH = build_graph(
+    simple_edges(("e1", "a", "b"), ("e2", "b", "c")), make_builtin("natural_arithmetic")
+)
 
 
 def test_incidence_single_edge(naturals):
-    g = simple_graph(("k", "a", "b"))
-    p = incidence_arrays(g, naturals)
+    g = build_graph(simple_edges(("k", "a", "b")), naturals)
+    p = incidence_arrays(g)
     assert list(p.e_out) == [("k", "a", ONE)]
     assert list(p.e_in) == [("k", "b", ONE)]
 
 
 def test_incidence_parallel_edges_share_rows(integers):
-    g = (
-        EdgeRecord("k1", {"a": Value.number(1)}, {"b": ONE}),
-        EdgeRecord("k2", {"a": Value.number(-1)}, {"b": ONE}),
+    g = build_graph(
+        [("k1", {"a": Value.number(1)}, {"b": ONE}), ("k2", {"a": Value.number(-1)}, {"b": ONE})],
+        integers,
     )
-    p = incidence_arrays(g, integers)
+    p = incidence_arrays(g)
     assert list(p.e_out) == [
         ("k1", "a", Value.number(1)),
         ("k2", "a", Value.number(-1)),
@@ -68,38 +68,36 @@ def test_incidence_parallel_edges_share_rows(integers):
 
 def test_incidence_self_loop_is_one_by_one(powerset_xy):
     x, y = Value.tokens(["x"]), Value.tokens(["y"])
-    g = (EdgeRecord("k", {"a": x}, {"a": y}),)
-    p = incidence_arrays(g, powerset_xy)
+    p = incidence_arrays(build_graph([("k", {"a": x}, {"a": y})], powerset_xy))
     assert p.e_out.row_keys == ("k",) and p.e_out.col_keys == ("a",)
     assert p.e_in.row_keys == ("k",) and p.e_in.col_keys == ("a",)
 
 
 def test_incidence_rejects_zero_weight(naturals):
-    g = (EdgeRecord("k", {"a": Value.number(0)}, {"b": ONE}),)
     with pytest.raises(ValidationError, match="zero weight"):
-        incidence_arrays(g, naturals)
+        build_graph([("k", {"a": Value.number(0)}, {"b": ONE})], naturals)
 
 
 @pytest.mark.parametrize(
-    "graph, message",
+    "edges, message",
     [
-        ((EdgeRecord("k", {"a": Value.number(-1)}, {"b": ONE}),), "outside the carrier"),
-        ((EdgeRecord("k", {"a": ONE}, {"b": Value.text("b")}),), "outside the carrier"),
-        ((EdgeRecord("k", {"a\tb": ONE}, {"b": ONE}),), "tab or line break"),
-        ((EdgeRecord("k", {"a": ONE}, {"b\tc": ONE}),), "tab or line break"),
-        ((EdgeRecord("", {"a": ONE}, {"b": ONE}),), "non-empty string"),
-        (simple_graph(("k", "a", "b"), ("k", "b", "c")), "duplicate edge key"),
-        ((EdgeRecord("k", {}, {"b": ONE}),), "no sources"),
-        ((EdgeRecord("k", {"a": ONE}, {}),), "no targets"),
+        ([("k", {"a": Value.number(-1)}, {"b": ONE})], "outside the carrier"),
+        ([("k", {"a": ONE}, {"b": Value.text("b")})], "outside the carrier"),
+        ([("k", {"a\tb": ONE}, {"b": ONE})], "tab or line break"),
+        ([("k", {"a": ONE}, {"b\tc": ONE})], "tab or line break"),
+        ([("", {"a": ONE}, {"b": ONE})], "non-empty string"),
+        (simple_edges(("k", "a", "b"), ("k", "b", "c")), "duplicate edge key"),
+        ([("k", {}, {"b": ONE})], "no sources"),
+        ([("k", {"a": ONE}, {})], "no targets"),
     ],
     ids=[
         "source-weight", "target-weight", "source-tab", "target-tab", "empty-edge-key",
         "duplicate-edge-key", "no-sources", "no-targets",
     ],
 )
-def test_incidence_rejects_bad_graphs_built_in_code(naturals, graph, message):
+def test_incidence_rejects_bad_graphs_built_in_code(naturals, edges, message):
     with pytest.raises(ValidationError, match=message):
-        incidence_arrays(graph, naturals)
+        build_graph(edges, naturals)
 
 
 @pytest.mark.parametrize(
@@ -112,63 +110,63 @@ def test_incidence_equals_the_triples_construction(name):
     rng = random.Random(3)
     for _ in range(50):
         g = random_graph(alg, rng)
-        p = incidence_arrays(g, alg)
-        for arr, side in ((p.e_out, "sources"), (p.e_in, "targets")):
-            triples = [(e.key, v, w) for e in g for v, w in getattr(e, side).items()]
+        p = incidence_arrays(g)
+        for arr, maps in ((p.e_out, g.sources), (p.e_in, g.targets)):
+            triples = [(k, v, w) for k, side in maps.items() for v, w in side.items()]
             assert arr == from_triples(triples, alg)
             check_invariants(arr, alg)
 
 
 def test_incidence_sorts_unsorted_edges_and_sides(naturals):
     # edge keys out of order, and hyperedge sides listing vertices out of
-    # order, one restated; the checked graph's pair and the pair taken over
-    # from the parse's side maps both equal the triples construction
+    # order, one restated; the pair taken over from the parsed graph's maps
+    # equals the triples construction
     text = "k3\tc\tb\nk3\ta\tb\t2\nk1\tb\td\t1\t3\nk1\tb\ta\nk1\tb\tc\nk2\td\ta\t1\t4\nk1\tb\ta\n"
     g = parse_edge_list(text, naturals)
-    assert g[0] == EdgeRecord("k3", {"c": ONE, "a": Value.number(2)}, {"b": ONE})
-    for p in (
-        incidence_arrays(g, naturals),
-        _incidence_pair(*_parse_edge_sides(text, naturals, role="edge-list")),
-    ):
-        for arr, side in ((p.e_out, "sources"), (p.e_in, "targets")):
-            expected = from_triples(
-                [(e.key, v, w) for e in g for v, w in getattr(e, side).items()], naturals
-            )
-            assert arr == expected
-            assert list(arr) == list(expected)
-            check_invariants(arr, naturals)
+    assert list(g.sources) == ["k3", "k1", "k2"]
+    assert (g.sources["k3"], g.targets["k3"]) == ({"c": ONE, "a": Value.number(2)}, {"b": ONE})
+    p = incidence_arrays(g)
+    for arr, maps in ((p.e_out, g.sources), (p.e_in, g.targets)):
+        expected = from_triples(
+            [(k, v, w) for k, side in maps.items() for v, w in side.items()], naturals
+        )
+        assert arr == expected
+        assert list(arr) == list(expected)
+        check_invariants(arr, naturals)
 
 
-def test_incidence_does_not_alias_the_graph(naturals):
+def test_build_graph_does_not_alias_its_input(naturals):
     sources, targets = {"a": ONE}, {"b": ONE}
-    p = incidence_arrays((EdgeRecord("k", sources, targets),), naturals)
+    g = build_graph([("k", sources, targets)], naturals)
+    p = incidence_arrays(g)
     before = (list(p.e_out), list(p.e_in))
     sources["c"] = ONE
     targets["b"] = Value.number(5)
+    assert g == Graph({"k": {"a": ONE}}, {"k": {"b": ONE}})
     assert (list(p.e_out), list(p.e_in)) == before
 
 
 def test_incidence_reports_the_first_fault_in_reading_order(naturals):
     # Edges in order; in each, the key, then sources before targets, and per
     # side its emptiness before each vertex's key, carrier and zero checks.
-    g = (
-        EdgeRecord("k1", {"a": ONE}, {"b": ONE}),
-        EdgeRecord("k2", {"a": Value.number(-1)}, {}),
-        EdgeRecord("k1", {"a\tb": ONE}, {"b": ONE}),
-    )
+    edges = [
+        ("k1", {"a": ONE}, {"b": ONE}),
+        ("k2", {"a": Value.number(-1)}, {}),
+        ("k1", {"a\tb": ONE}, {"b": ONE}),
+    ]
     with pytest.raises(ValidationError) as exc_info:
-        incidence_arrays(g, naturals)
+        build_graph(edges, naturals)
     assert str(exc_info.value) == (
         "edge 'k2' weight -1 at 'a' is outside the carrier of natural_arithmetic"
     )
     # a bad source vertex comes before the empty target side
-    bad_source = (g[0], EdgeRecord("k2", {"a\tb": ONE}, {}), g[2])
+    bad_source = [edges[0], ("k2", {"a\tb": ONE}, {}), edges[2]]
     with pytest.raises(ValidationError, match=r"^key 'a\\tb' contains a tab"):
-        incidence_arrays(bad_source, naturals)
+        build_graph(bad_source, naturals)
 
 
 def test_adjacency_of_path(naturals):
-    p = incidence_arrays(PATH, naturals)
+    p = incidence_arrays(PATH)
     adj = adjacency(p, naturals)
     assert support(adj) == {("a", "b"), ("b", "c")}
     assert support(adj) == adjacency_oracle(p)
@@ -177,18 +175,17 @@ def test_adjacency_of_path(naturals):
 def test_reverse_swaps_and_involutes():
     g = PATH
     r = reverse(g)
-    assert r[0].sources == {"b": ONE} and r[0].targets == {"a": ONE}
+    assert r.sources["e1"] == {"b": ONE} and r.targets["e1"] == {"a": ONE}
     assert reverse(r) == g
 
 
 def test_reverse_adjacency_of_path(naturals):
-    p = incidence_arrays(PATH, naturals)
+    p = incidence_arrays(PATH)
     assert support(reverse_adjacency(p, naturals)) == {("b", "a"), ("c", "b")}
 
 
 def test_reverse_adjacency_symmetric_digraph(naturals):
-    g = simple_graph(("e1", "a", "b"), ("e2", "b", "a"))
-    p = incidence_arrays(g, naturals)
+    p = incidence_arrays(build_graph(simple_edges(("e1", "a", "b"), ("e2", "b", "a")), naturals))
     assert support(reverse_adjacency(p, naturals)) == support(adjacency(p, naturals))
 
 
@@ -199,22 +196,21 @@ def test_parallel_edges_fold_in_string_order_of_their_keys(noncommutative):
     # as a string: "k10" before "k2".
     assert _zero_is_inert(noncommutative)
     p, q = noncommutative.decode("p"), noncommutative.decode("q")
-    g = (EdgeRecord("k2", {"x": q}, {"y": q}), EdgeRecord("k10", {"x": p}, {"y": p}))
-    pair = incidence_arrays(g, noncommutative)
+    g = build_graph([("k2", {"x": q}, {"y": q}), ("k10", {"x": p}, {"y": p})], noncommutative)
+    pair = incidence_arrays(g)
     assert entries_of(adjacency(pair, noncommutative)) == {("x", "y"): p}
     assert entries_of(reverse_adjacency(pair, noncommutative)) == {("y", "x"): p}
 
 
 def test_empty_graph_everything_empty(naturals):
-    p = incidence_arrays((), naturals)
+    p = incidence_arrays(build_graph((), naturals))
     assert adjacency(p, naturals) == empty()
     assert reverse_adjacency(p, naturals) == empty()
     assert adjacency_oracle(p) == frozenset()
 
 
 def test_oracle_on_hyperedge(naturals):
-    g = (EdgeRecord("k", {"a": ONE, "b": ONE}, {"c": ONE}),)
-    p = incidence_arrays(g, naturals)
+    p = incidence_arrays(build_graph([("k", {"a": ONE, "b": ONE}, {"c": ONE})], naturals))
     assert adjacency_oracle(p) == {("a", "c"), ("b", "c")}
     assert support(adjacency(p, naturals)) == {("a", "c"), ("b", "c")}
 
@@ -241,7 +237,7 @@ def test_oracle_never_calls_the_operations():
         contains_op=lambda v: True,
         decode_op=Value.text,
     )
-    p = incidence_arrays(PATH, trap_alg)
+    p = incidence_arrays(PATH)
     assert adjacency_oracle(p) == {("a", "b"), ("b", "c")}
 
 
@@ -249,9 +245,9 @@ def test_random_graph_is_deterministic_and_valid(naturals):
     g1 = random_graph(naturals, random.Random(42))
     g2 = random_graph(naturals, random.Random(42))
     assert g1 == g2
-    incidence_arrays(g1, naturals)
-    for edge in g1:
-        for w in (*edge.sources.values(), *edge.targets.values()):
+    assert build_graph(((k, g1.sources[k], g1.targets[k]) for k in g1.sources), naturals) == g1
+    for side in (*g1.sources.values(), *g1.targets.values()):
+        for w in side.values():
             assert w != naturals.zero
 
 
@@ -414,7 +410,7 @@ def test_no_graph_product_builds_a_transpose(alg, weight, monkeypatch):
         raise AssertionError("a graph product built a transpose")
 
     monkeypatch.setattr(assocarray.array, "transpose", refuse)
-    pair = incidence_arrays(random_graph(alg, random.Random(1)), alg)
+    pair = incidence_arrays(random_graph(alg, random.Random(1)))
     assert pair.e_out.nnz
     adjacency(pair, alg, extra_sources=["iso"], extra_targets=["iso"])
     reverse_adjacency(pair, alg)

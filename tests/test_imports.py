@@ -39,3 +39,24 @@ def test_no_module_reads_a_value_wrapper_attribute(path):
         if isinstance(n, ast.Attribute) and n.attr in ("payload", "kind")
     )
     assert reads == []
+
+
+# module -> (private name, public asname) bindings it keeps, with the reason
+KEPT_ALIASES = {
+    # perfbench/tracing.py wraps cli.from_triples; doc-adjacency folds the
+    # parsed triples, whose keys and tokens the parse has checked
+    "cli": {("_fold_triples", "from_triples")},
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_a_private_name_under_a_public_one(path):
+    # a public name promises the checked function; a private one hides behind it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        (a.name, a.asname)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name.startswith("_") and a.asname and not a.asname.startswith("_")
+    }
+    assert aliases == KEPT_ALIASES.get(path.stem, set())
