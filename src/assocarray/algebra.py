@@ -69,8 +69,8 @@ class Algebra:
     builtin natives are:
 
     - the value itself for the number families, the chain levels and
-      ``max_min_strings``, where ``lift`` only turns a whole rational into
-      its ``int``;
+      ``max_min_strings``, where ``lift`` is the identity except that
+      ``nonneg_rational_arithmetic`` turns a whole rational into its ``int``;
     - a bitmask over the sorted universe for ``powerset``;
     - the element index for a table algebra from :func:`from_finite_spec`.
 
@@ -83,12 +83,15 @@ class Algebra:
     text into a carrier member and raises ValueError on anything else.
 
     ``proved`` names the checks that hold in closed form.  Like
-    ``known_failures``, which maps each failing check to a witness, and
+    ``known_failures``, which maps each failing check to a witness,
     ``times_commutes``, set when ``times_op(x, y) == times_op(y, x)`` on all
-    natives, it describes ``plus_op`` and ``times_op``: a
-    ``dataclasses.replace`` that changes either operation must restate all
-    three, and must keep ``lower`` and ``lift`` the encoding its operations
-    take.  Tables leave ``times_commutes`` False.
+    natives, and ``plus_semigroup``, True when ``plus_op`` is commutative and
+    associative on all natives and False when it is not to be relied on, it
+    describes ``plus_op`` and ``times_op``: a ``dataclasses.replace`` that
+    changes either operation must restate all four, and must keep ``lower``
+    and ``lift`` the encoding its operations take.  Tables leave
+    ``times_commutes`` False and ``plus_semigroup`` None, unstated, so the
+    product may scan their plus.
     """
 
     name: str
@@ -103,6 +106,7 @@ class Algebra:
     known_failures: Mapping[str, tuple[Value, ...]] = field(default_factory=dict)
     proved: frozenset[str] = frozenset()
     times_commutes: bool = False
+    plus_semigroup: bool | None = None
     lower: Callable[[Value], object] = _same
     lift: Callable[[object], Value] = _same
 
@@ -266,8 +270,7 @@ def _numbers(
         plus_op=ops[0], times_op=ops[1], contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not in the carrier of {name}"),
         sample_op=lambda rng: Value.number(draw(rng)),
-        lift=_lift_number,
-        times_commutes=True,  # * and + on numbers
+        times_commutes=True, plus_semigroup=True,  # times * or +, plus + or max
         **laws,
     )
 
@@ -291,6 +294,7 @@ def _nonneg_rational() -> Algebra:
         lambda v: (type(v) is int or type(v) is Fraction and v.denominator != 1) and v >= 0,
         one=1, ops=(operator.add, operator.mul),
         draw=lambda rng: Fraction(rng.randint(0, 10), rng.randint(1, 10)),
+        lift=_lift_number,  # the other number families are closed on int
         proved=frozenset({
             CHECK_IDENTITY,  # 0 + x = x and 1 * x = x
             CHECK_CRITERION1,  # a + b > 0 when a > 0 and b >= 0
@@ -355,7 +359,7 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
         contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not a level of {name}"),
         carrier=carrier,
-        times_commutes=True,  # min
+        times_commutes=True, plus_semigroup=True,  # min and max
         proved=frozenset({
             CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is the bottom only when a or b is
@@ -402,7 +406,7 @@ def _max_min_strings() -> Algebra:
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
-        times_commutes=True,  # min
+        times_commutes=True, plus_semigroup=True,  # min and max
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
@@ -476,7 +480,7 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         known_failures=known_failures,
         lower=lower,
         lift=lift,
-        times_commutes=True,  # & on bitmasks
+        times_commutes=True, plus_semigroup=True,  # & and | on bitmasks
         proved=frozenset({
             CHECK_IDENTITY,  # {} | x = x and universe & x = x for every subset x
             CHECK_CRITERION1,  # a | b = {} only when a = b = {}

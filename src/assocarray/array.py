@@ -16,6 +16,7 @@ what lets deliberately lawless algebras behave reproducibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import CHECK_CRITERION3, CHECK_IDENTITY, Algebra
@@ -134,12 +135,18 @@ def support(arr: AssociativeArray) -> frozenset[tuple[str, str]]:
 
 
 def transpose(arr: AssociativeArray) -> AssociativeArray:
-    # col_keys are sorted and rows come in ascending order, so filling the
-    # columns row by row leaves both levels sorted with no sort here.
-    rows: dict[str, dict[str, Value]] = {c: {} for c in arr.col_keys}
-    for r, c, v in arr:
-        rows[c][r] = v
+    rows = _by_column(arr.rows, arr.col_keys)
     return AssociativeArray(rows=rows, row_keys=arr.col_keys, col_keys=arr.row_keys)
+
+
+def _by_column(rows: Mapping[str, Mapping], cols: Iterable[str]) -> dict[str, dict]:
+    # {c: {r: v}} over every c in cols, which must hold each stored column.  With
+    # cols sorted and rows in ascending order, both levels come out sorted.
+    by_col: dict[str, dict] = {c: {} for c in cols}
+    for r, row in rows.items():
+        for c, v in row.items():
+            by_col[c][r] = v
+    return by_col
 
 
 def _ewise(
@@ -203,6 +210,18 @@ def _zero_is_inert(alg: Algebra) -> bool:
     )
 
 
+def _plus_is_semigroup(alg: Algebra, budget: int) -> bool:
+    """``alg.plus_semigroup`` where stated, or else whether plus commutes and associates on
+    a finite carrier of n elements with n^3 <= ``budget``: n^2 plus calls, n^2 + n^3 lookups."""
+    if alg.plus_semigroup is not None or not alg.is_finite or len(alg.carrier) ** 3 > budget:
+        return bool(alg.plus_semigroup)
+    xs = list(map(alg.lower, alg.carrier))
+    s = {(x, y): alg.plus_op(x, y) for x in xs for y in xs}
+    return all(s[x, y] == s[y, x] for x, y in s) and all(
+        s[s[x, y], z] == s[x, s[y, z]] for x, y in s for z in xs
+    )
+
+
 def matmul(
     a: AssociativeArray,
     b: AssociativeArray,
@@ -238,6 +257,13 @@ def matmul(
     result as the definition; the leading run, before an entry's first
     such term, is folded once per product and shared by every entry.
 
+    If those terms outnumber the output entries and plus is commutative and
+    associative (``alg.plus_semigroup``, or a scan of a table of n elements
+    with n^3 at most the output entries), partial sums replace the runs: an
+    entry whose row of a and column of b share no stored inner key adds its
+    row's fold of a(i, k) times zero, its column's fold of zero times b(k, j)
+    and one ``t00`` run.  Only an entry over a stored pair folds its terms.
+
     ``extra_row_keys`` / ``extra_col_keys`` widen the candidate output
     coordinates beyond the stored key sets, so products against rows or
     columns that exist only implicitly (all zero) can still be observed.
@@ -257,7 +283,8 @@ def _product_t(
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
     """:func:`matmul` of ``transpose(at)`` and ``b``: the inner keys are the rows of both.
-    The full fold steps its leading ``t00`` run once, shared by every entry.
+    The full fold steps its leading ``t00`` run once, shared by every entry, or takes
+    partial sums when its count of terms other than ``t00`` exceeds the output entries.
     With ``at is b`` and ``alg.times_commutes``, the inert loop folds j >= i and mirrors."""
     extra_rows = {check_key(k) for k in extra_row_keys}
     extra_cols = {check_key(k) for k in extra_col_keys}
@@ -307,32 +334,74 @@ def _product_t(
     out_rows = sorted(set(at.col_keys) | extra_rows)
     out_cols = sorted(set(b.col_keys) | extra_cols)
     t00 = times(z, z)
-    last = len(inner) - 1
+    n, last = len(inner), len(inner) - 1
     # lead[r]: t00 folded with r more t00 terms, up to its fixed point, which
     # lead[cap] holds if reached; every entry shares this leading run.
     lead = [t00]
     while len(lead) <= last and (nxt := plus(lead[-1], t00)) != lead[-1]:
         lead.append(nxt)
     cap = len(lead) - 1
+    # Row i of a as A_i = {k: (x, x times zero)} and column j of b as B_j =
+    # {k: (y, zero times y)}: each value lowered, each term against zero evaluated, once.
+    a_keys = {
+        i: {k: (x, times(x, z)) for k, x in zip(r, map(lower, r.values()))}
+        for i, r in _by_column(at_rows, out_rows).items()
+    }
+    b_keys = {
+        j: {k: (y, times(z, y)) for k, y in zip(r, map(lower, r.values()))}
+        for j, r in _by_column(b_rows, out_cols).items()
+    }
+    n_rows, n_cols = len(out_rows), len(out_cols)
+    # the terms other than t00 that the run-compressed loop below folds
+    events = sum(len(b_rows.get(k, ())) if u == t00 else n_cols
+                 for a_i in a_keys.values() for k, (_, u) in a_i.items())
+    events += sum(n_rows - len(at_rows.get(k, ()))
+                  for b_j in b_keys.values() for k, (_, w) in b_j.items() if w != t00)
+    if events > n_rows * n_cols and _plus_is_semigroup(alg, n_rows * n_cols):
+        # Partial sums (see matmul): R_i folds the u over A_i, Q_j the w over B_j.
+        cols = [  # (j, B_j, Q_j or None where B_j is empty, n - |B_j|)
+            (j, b_j, reduce(plus, [w for _, w in b_j.values()]) if b_j else None, n - len(b_j))
+            for j, b_j in b_keys.items()
+        ]
+        rests = {rest for *_, rest in cols}
+        for i, a_i in a_keys.items():
+            r = reduce(plus, [u for _, u in a_i.values()]) if a_i else None
+            meet, row = set().union(*(b_rows[k] for k in a_i if k in b_rows)), {}
+            bases = {}  # n - |B_j| -> R_i + the run of n - |A_i| - |B_j| t00 terms, or None
+            for rest in rests:
+                t = lead[min(m - 1, cap)] if (m := rest - len(a_i)) > 0 else None
+                bases[rest] = r if t is None else t if r is None else plus(r, t)
+            for j, b_j, q, rest in cols:
+                if j in meet:  # fold the terms over A_i | B_j
+                    terms = [times(x, b_j[k][0]) if k in b_j else u for k, (x, u) in a_i.items()]
+                    terms += [w for k, (_, w) in b_j.items() if k not in a_i]
+                    if len(terms) < n:
+                        terms.append(lead[min(n - len(terms) - 1, cap)])
+                    v = reduce(plus, terms)
+                else:
+                    v = q if (base := bases[rest]) is None else base if q is None else plus(base, q)
+                if v != z:
+                    row[j] = lift(v)
+            rows[i] = row
+        return _from_sorted_rows({i: row for i, row in rows.items() if row})
+    xs, ys = _by_column(a_keys, inner), _by_column(b_keys, inner)
     # Per entry: [accumulator, position of its last folded term].  A term at
     # position p first folds the t00 run since that position; with no
     # accumulator yet, that is the leading run of p terms.
     folds: dict[str, dict[str, list]] = {i: {} for i in out_rows}
     for p, k in enumerate(inner):
-        at_row = at_rows.get(k, {})
-        b_row = {j: lower(b_kj) for j, b_kj in b_rows.get(k, {}).items()}
+        at_row, b_row = xs[k], ys[k]
         # zero times b(k, j), shared by every row that does not store a(i, k)
-        zero_terms = [(j, t) for j, y in b_row.items() if (t := times(z, y)) != t00]
+        zero_terms = [(j, w) for j, (_, w) in b_row.items() if w != t00]
         for i in out_rows if zero_terms else at_row:
             if i not in at_row:
                 terms = zero_terms
             else:
-                x = lower(at_row[i])
-                u = times(x, z)
+                x, u = at_row[i]
                 if u == t00:  # events only where b(k, j) is stored
-                    terms = ((j, times(x, y)) for j, y in b_row.items())
+                    terms = ((j, times(x, y)) for j, (y, _) in b_row.items())
                 else:
-                    terms = [(j, times(x, b_row[j]) if j in b_row else u) for j in out_cols]
+                    terms = [(j, times(x, b_row[j][0]) if j in b_row else u) for j in out_cols]
             states = folds[i]
             for j, t in terms:
                 s = states.get(j)
@@ -345,12 +414,10 @@ def _product_t(
                         acc = _run(plus, nxt, t00, gap - 1)
                     s[0], s[1] = plus(acc, t), p
     for i, states in folds.items():
-        row = {}
+        row = rows[i] = {}
         for j in out_cols:
             s = states.get(j)
             v = lead[cap] if s is None else _run(plus, s[0], t00, last - s[1])
             if v != z:
                 row[j] = lift(v)
-        if row:
-            rows[i] = row
-    return _from_sorted_rows(rows)
+    return _from_sorted_rows({i: row for i, row in rows.items() if row})

@@ -160,6 +160,18 @@ def test_whole_rational_results_lift_to_ints():
     assert serialize_triples(product) == "i\tj\t1\n"
 
 
+def test_only_the_rational_family_lifts_its_natives():
+    # A whole rational lifts to its int.  The other number families are
+    # closed on int, so their lift is the identity: even a whole Fraction,
+    # which none of their operations makes, comes back as it went in.
+    lifted = make_builtin("nonneg_rational_arithmetic").lift(Fraction(4, 2))
+    assert lifted == 2 and type(lifted) is int
+    for name in ("natural_arithmetic", "integer_ring", "max_plus_realzero"):
+        alg = make_builtin(name)
+        for native in (0, 7, -3, Fraction(4, 2)):
+            assert alg.lift(native) is native
+
+
 def test_chain_ops_are_max_and_min():
     chain = make_builtin("max_min_chain", levels=4)
     two, three = Value.number(2), Value.number(3)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import random
@@ -17,6 +18,7 @@ from conftest import (
     table_algebra,
 )
 
+from assocarray import array as array_module
 from assocarray.algebra import FiniteAlgebraSpec, from_finite_spec, make_builtin
 from assocarray.array import (
     AssociativeArray,
@@ -75,15 +77,22 @@ DIFFERENTIAL_CASES = [(name, "full") for name in LAWLESS] + [
 
 
 @st.composite
-def random_tables(draw):
+def random_tables(draw, semigroup=False):
+    """A 2-4 element table; with ``semigroup``, plus is the max under a drawn
+    ranking, so it commutes and associates, with zero at any rank."""
     n = draw(st.integers(2, 4))
     row = st.tuples(*[st.integers(0, n - 1)] * n)
     table = st.tuples(*[row] * n)
+    if semigroup:
+        rank = draw(st.permutations(range(n)))
+        plus_table = tuple(tuple(max(x, y, key=rank.__getitem__) for y in range(n)) for x in range(n))
+    else:
+        plus_table = draw(table)
     spec = FiniteAlgebraSpec(
         elements=tuple(Value.number(i) for i in range(n)),
         zero_index=0,
         one_index=draw(st.integers(0, n - 1)),
-        plus_table=draw(table),
+        plus_table=plus_table,
         times_table=draw(table),
     )
     return table_algebra(spec, "random_table")
@@ -436,7 +445,24 @@ def test_full_fold_leading_run_at_a_fixed_point_costs_one_call():
         for ps in events.values()
     )
     assert expected == 39  # re-stepping the leading run per entry would take 41
-    counted_full_product(make_builtin("max_plus_realzero"), expected)
+    # max plus is a commutative semigroup, so it would take partial sums in
+    # 21 calls (see below).  Without the flag it keeps the runs.
+    alg = dataclasses.replace(make_builtin("max_plus_realzero"), plus_semigroup=False)
+    counted_full_product(alg, expected)
+
+
+def test_partial_sums_cost_at_most_two_plus_calls_per_entry_whose_keys_do_not_meet():
+    # Over max plus, a(i, k) + 0 and 0 + b(k, j) differ from t00 = 0, so the
+    # run-compressed loop would fold 28 events into 9 entries: partial sums.
+    # A_r0 = B_c0 = {k2, k4}, A_r1 = B_c1 = {k0, k3}, A_r2 = {k5}, B_c2 =
+    # {k1, k5}: only the three diagonal entries meet, each folding 2 terms
+    # and a run (2 calls).  The run of t00 settles at once (1 call); R_r0,
+    # R_r1, Q_c0, Q_c1 and Q_c2 fold 2 terms each (5 calls).  The 6 other
+    # entries cost 9 calls: one per row to add R_i to its run of 6 - |A_i| -
+    # 2 t00 terms, and one per entry to add Q_j.
+    disjoint = 3 + 6
+    assert disjoint <= 2 * 6
+    counted_full_product(make_builtin("max_plus_realzero"), 1 + 5 + 3 * 2 + disjoint)
 
 
 @pytest.mark.parametrize(
@@ -477,6 +503,101 @@ def test_matmul_skips_a_law_scan_that_costs_more_than_it_saves():
         ps, plus_op=budgeted(ps.plus_op, 10, "plus"), times_op=budgeted(ps.times_op, 10, "times")
     )
     assert entries_of(matmul(a, b, counting)) == {("i", "j"): x}
+
+
+@contextlib.contextmanager
+def plus_law_verdicts(force_full_fold):
+    """The verdicts of the product's plus-law checks, in call order: partial
+    sums run exactly when one is True.  ``force_full_fold`` makes an inert
+    zero take the full fold too."""
+    verdicts, check_law = [], array_module._plus_is_semigroup
+
+    def spy(alg, budget):
+        verdicts.append(check_law(alg, budget))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(array_module, "_plus_is_semigroup", spy)
+        if force_full_fold:
+            patch.setattr(array_module, "_zero_is_inert", lambda alg: False)
+        yield verdicts
+
+
+# Rows a0..a3 store every inner key k0..k6, and so do columns b0..b3: 112
+# stored pairs, each at least one event, against at most 10 x 10 entries.
+# So the event count always calls for partial sums.  Rows r0..r3 and
+# columns c0..c3, always output keys, hold a sparse draw over k0..k6 and
+# m0..m2: entries whose inner keys do not meet, inner keys on one side
+# only, and at least 8 x 8 = 64 entries, enough to scan a 4-element table.
+DENSE_INNER = [f"k{n}" for n in range(7)]
+SPARSE_INNER = DENSE_INNER + ["m0", "m1", "m2"]
+
+
+def draw_partial_sums_operands(name, data):
+    if name == "random_table":
+        alg = data.draw(random_tables(semigroup=True))
+    else:
+        alg = differential_algebra(name)
+    if alg.is_finite:
+        values_st = st.sampled_from(alg.carrier)
+        nonzero_st = st.sampled_from([v for v in alg.carrier if v != alg.zero])
+    else:
+        seeds = st.integers(0, 2**32)
+        values_st = seeds.map(lambda seed: alg.sample(random.Random(seed)))
+        nonzero_st = seeds.map(lambda seed: alg.sample_nonzero(random.Random(seed)))
+
+    def array(dense, sparse_keys):
+        dense_values = data.draw(st.tuples(*[nonzero_st] * len(dense)))
+        sparse = data.draw(st.lists(st.tuples(*sparse_keys, values_st), max_size=25))
+        return from_triples([(r, c, v) for (r, c), v in zip(dense, dense_values)] + sparse, alg)
+
+    rows, cols = [f"r{n}" for n in range(4)], [f"c{n}" for n in range(4)]
+    a = array([(f"a{n}", k) for n in range(4) for k in DENSE_INNER],
+              (st.sampled_from(rows), st.sampled_from(SPARSE_INNER)))
+    b = array([(k, f"b{n}") for k in DENSE_INNER for n in range(4)],
+              (st.sampled_from(SPARSE_INNER), st.sampled_from(cols)))
+    extra_rows = rows + data.draw(st.lists(st.sampled_from(["a1", "x0", "x1"]), max_size=2))
+    extra_cols = cols + data.draw(st.lists(st.sampled_from(["b1", "y0", "y1"]), max_size=2))
+    return alg, a, b, extra_rows, extra_cols
+
+
+@differential_cases
+@given(data=st.data())
+def test_full_fold_by_partial_sums_matches_dense_oracle(name, reference, data):
+    # Every builtin's plus is +, max or |, and the plus of every table here
+    # but two commutes and associates, so each takes partial sums; an inert
+    # zero is made to take the full fold.  The two fixtures whose plus does
+    # not commute keep the runs.
+    alg, a, b, rows, cols = draw_partial_sums_operands(name, data)
+    with plus_law_verdicts(force_full_fold=True) as verdicts:
+        got = matmul(a, b, alg, extra_row_keys=rows, extra_col_keys=cols)
+    assert verdicts == [name not in ("noncommutative.alg", "identity_violating.alg")]
+    assert entries_of(got) == reference_product(reference, a, b, alg, rows, cols)
+    check_invariants(got, alg)
+
+
+def test_full_fold_keeps_its_runs_when_plus_commutes_but_does_not_associate():
+    # plus(x, y) = -(x + y) mod 3 commutes, but (1 + 1) + 2 = 1 + 2 = 0 and
+    # 1 + (1 + 2) = 1 + 0 = 2.  times(x, 0) = x differs from t00 = 0, so
+    # every stored a(i, k) makes an event per output column: the law is
+    # asked, and the scan of the 3 elements must refuse it.
+    spec = FiniteAlgebraSpec(
+        elements=tuple(Value.number(n) for n in range(3)),
+        zero_index=0,
+        one_index=0,
+        plus_table=tuple(tuple(-(x + y) % 3 for y in range(3)) for x in range(3)),
+        times_table=tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3)),
+    )
+    alg = table_algebra(spec, "commutative_not_associative")
+    rng = random.Random(3)
+    a = from_triples([(f"i{rng.randrange(6)}", f"k{rng.randrange(6)}", rng.choice((1, 2)))
+                      for _ in range(20)], alg)
+    b = from_triples([(f"k{rng.randrange(6)}", f"j{rng.randrange(6)}", rng.choice((1, 2)))
+                      for _ in range(20)], alg)
+    with plus_law_verdicts(force_full_fold=False) as verdicts:
+        got = matmul(a, b, alg)
+    assert verdicts == [False]
+    assert entries_of(got) == dense_matmul(entries_of(a), entries_of(b), alg)
 
 
 def test_document_adjacency_folds_each_unordered_pair_once():

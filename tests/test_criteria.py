@@ -183,6 +183,20 @@ def test_builtin_times_commutes_on_its_natives(family, params):
         assert alg.times_op(x, y) == alg.times_op(y, x)
 
 
+@pytest.mark.parametrize(
+    "family, params", FACT_FAMILIES, ids=[family_id(*case) for case in FACT_FAMILIES]
+)
+def test_builtin_plus_commutes_and_associates_on_its_natives(family, params):
+    # The full fold takes partial sums on this flag; validate reports no check for it.
+    alg = make_builtin(family, **params)
+    assert alg.plus_semigroup
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y, w = (alg.lower(alg.sample(rng)) for _ in range(3))
+        assert alg.plus_op(x, y) == alg.plus_op(y, x)
+        assert alg.plus_op(alg.plus_op(x, y), w) == alg.plus_op(x, alg.plus_op(y, w))
+
+
 def test_facts_of_the_largest_chain_partition_the_checks():
     # The sets alone: scanning 4096 levels pairwise is what the proofs spare.
     chain = make_builtin("max_min_chain", levels=4096)
