@@ -181,9 +181,13 @@ class FiniteAlgebraSpec:
         for label, idx in (("zero", self.zero_index), ("one", self.one_index)):
             if not 0 <= idx < n:
                 raise ValidationError(f"{label} index {idx} out of range for {n} elements")
+        indices = set(range(n))
         for label, table in (("plus", self.plus_table), ("times", self.times_table)):
             if len(table) != n:
                 raise ValidationError(f"{label} table has {len(table)} rows, expected {n}")
+            if all(len(row) == n for row in table) and set().union(*table) <= indices:
+                continue
+            # name the first bad row or cell
             for i, row in enumerate(table):
                 if len(row) != n:
                     raise ValidationError(

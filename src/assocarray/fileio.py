@@ -276,13 +276,17 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
         rows = []
         for i in range(n):
             r_line, line = take(f"{which} table row {i + 1}")
-            cells = [p.strip() for p in _split_top_level_commas(line)]
+            cells = _split_top_level_commas(line)
             if len(cells) != n:
                 raise ParseError(
                     role, r_line, f"{which} row {i + 1}",
                     f"expected {n} entries, got {len(cells)}",
                 )
             row = tuple(map(index.get, cells))
+            # names are stripped, so a padded cell misses and only then is stripped
+            if None in row:
+                cells = [p.strip() for p in cells]
+                row = tuple(map(index.get, cells))
             if None in row:
                 j = row.index(None)
                 raise ParseError(

@@ -92,7 +92,7 @@ def parse_number(text: str) -> Value:
     if not _NUMBER_FORM.fullmatch(text):
         raise ValueError(f"not a number literal: {text!r}")
     try:
-        v = Value.number(Fraction(text))
+        v = Value.number(Fraction(text) if "/" in text else int(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     if encode_value(v) != text:

@@ -18,7 +18,13 @@ from assocarray.array import from_triples
 from assocarray.cli import main
 from assocarray.criteria import CHECK_LABELS, check, validate
 from assocarray.errors import PreconditionError
-from assocarray.fileio import ParseError, parse_edge_list, parse_set_triples, serialize_triples
+from assocarray.fileio import (
+    ParseError,
+    parse_edge_list,
+    parse_finite_algebra,
+    parse_set_triples,
+    serialize_triples,
+)
 from assocarray.graph import adjacency, document_adjacency, incidence_arrays, reverse_adjacency
 from assocarray.values import Value
 from conftest import check_invariants
@@ -786,6 +792,77 @@ def test_main_reenters_with_one_parser(capsys, monkeypatch, data_dir, golden_dir
     code, out, _ = same_as_fresh(*witness)
     assert (code, out) == (0, golden)
     assert out_path.read_text() == "untouched\n"
+
+
+# --- the table algebra kept between calls ---------------------------------------
+
+
+def test_table_calls_in_one_process_give_what_fresh_processes_give(capsys, data_dir, tmp_path):
+    # validate, then witness 3 twice, on one table: the later calls reuse the
+    # algebra the first built, and each call's exit code, stdout, stderr and
+    # output file are those of a fresh process
+    cli._table_algebra.cache_clear()
+    table = str(data_dir / "annihilator_right.alg")
+    calls = [["validate", "--algebra", table]] + [["witness", "3", "--algebra", table]] * 2
+    for n, argv in enumerate(calls):
+        mine, theirs = tmp_path / f"in_process{n}.txt", tmp_path / f"fresh{n}.txt"
+        got = run(capsys, *argv, "--output", str(mine))
+        proc = run_module("assocarray", *argv, "--output", str(theirs))
+        assert got == (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"))
+        assert mine.read_text(encoding="utf-8") == theirs.read_text(encoding="utf-8")
+    assert got[0] == 0
+    assert cli._table_algebra.cache_info().hits == 2
+
+
+def test_a_rewritten_table_file_is_read_afresh(capsys, data_dir, tmp_path):
+    cli._table_algebra.cache_clear()
+    table = tmp_path / "table.alg"
+    table.write_text((data_dir / "annihilator_right.alg").read_text())
+    assert run(capsys, "witness", "3", "--algebra", str(table))[0] == 0
+    table.write_text((data_dir / "bool_or_and.alg").read_text())
+    code, out, err = run(capsys, "validate", "--algebra", str(table))
+    assert code == 0
+    assert "algebra: table\n" in err
+    assert out.endswith("certified\ttrue\n")
+
+
+def test_a_table_that_fails_to_parse_fails_alike_every_time(capsys, tmp_path):
+    cli._table_algebra.cache_clear()
+    table = tmp_path / "bad.alg"
+    table.write_text("elements: 0,1\nzero: 0\none: 1\nplus:\n0,1\n1,2\ntimes:\n0,0\n0,1\n")
+    first = run(capsys, "validate", "--algebra", str(table))
+    assert first == (2, "", f"error: {table}, line 6, plus cell (2, 2): '2' is not a listed element\n")
+    assert run(capsys, "validate", "--algebra", str(table)) == first
+    table.write_text("elements: 0,1\nzero: 0\none: 1\nplus:\n0,1\n1,1\ntimes:\n0,0\n0,1\n")
+    code, out, _ = run(capsys, "validate", "--algebra", str(table))
+    assert code == 0
+    assert out.endswith("certified\ttrue\n")
+
+
+def test_one_text_under_two_file_names_keeps_each_name(capsys, data_dir, tmp_path):
+    cli._table_algebra.cache_clear()
+    text = (data_dir / "bool_or_and.alg").read_text()
+    for stem in ("first", "second", "first"):
+        path = tmp_path / f"{stem}.alg"
+        path.write_text(text)
+        code, _, err = run(capsys, "validate", "--algebra", str(path))
+        assert code == 0
+        assert err.startswith(f"algebra: {stem}\n")
+
+
+def test_a_second_call_on_one_text_does_not_parse_it(capsys, monkeypatch, data_dir):
+    cli._table_algebra.cache_clear()
+    parses = []
+
+    def counting_parse(text, *, role):
+        parses.append(role)
+        return parse_finite_algebra(text, role=role)
+
+    monkeypatch.setattr(cli, "parse_finite_algebra", counting_parse)
+    table = str(data_dir / "annihilator_right.alg")
+    assert run(capsys, "validate", "--algebra", table)[0] == 1
+    assert run(capsys, "witness", "3", "--algebra", table)[0] == 0
+    assert parses == [table]
 
 
 def test_stdout_is_utf8_whatever_the_locale_encoding(tmp_path):

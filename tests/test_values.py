@@ -174,6 +174,46 @@ def test_parse_number_rejects_garbage():
             parse_number(bad)
 
 
+def _fraction_message(text):
+    try:
+        Fraction(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+LONG_LITERAL = "1" + "0" * 4999
+# Past Python's digit limit, where it has one, int and Fraction refuse a
+# literal with the same message.
+LONG_MESSAGE = _fraction_message(LONG_LITERAL)
+
+
+@pytest.mark.parametrize(
+    "text,result,message",
+    [
+        ("0", 0, None),
+        ("-5", -5, None),
+        ("007", None, "'007' is not canonical; write it as '7'"),
+        ("-0", None, "'-0' is not canonical; write it as '0'"),
+        ("\u0663", None, "'\u0663' is not canonical; write it as '3'"),  # ARABIC-INDIC DIGIT THREE
+        ("1/2", Fraction(1, 2), None),
+        ("2/4", None, "'2/4' is not canonical; write it as '1/2'"),
+        ("4/2", None, "'4/2' is not canonical; write it as '2'"),
+        ("1/0", None, "zero denominator in '1/0'"),
+        (LONG_LITERAL, None if LONG_MESSAGE else 10**4999, LONG_MESSAGE),
+    ],
+    ids=["0", "-5", "007", "-0", "arabic-indic-3", "1/2", "2/4", "4/2", "1/0", "5000-digits"],
+)
+def test_parse_number_results_and_messages(text, result, message):
+    # an integer literal decodes by int, a p/q literal by Fraction
+    if message is None:
+        got = parse_number(text)
+        assert got == result and type(got) is type(result)
+    else:
+        with pytest.raises(ValueError) as exc:
+            parse_number(text)
+        assert str(exc.value) == message
+
+
 def test_parse_token_set_requires_canonical_form():
     assert parse_token_set("{}") == Value.tokens([])
     assert parse_token_set("{a,b}") == Value.tokens(["a", "b"])
