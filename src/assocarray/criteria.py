@@ -267,16 +267,20 @@ def witness_annihilator(v: Value, alg: Algebra) -> WitnessCase:
     against b is nonzero, inventing an adjacency between a and the isolated
     vertex: (a, b) when right multiplication by zero misbehaves, (b, a) when
     left multiplication does.  A zero v cannot weight an edge: the loop then
-    carries one, and b is both an extra source and an extra target, so that
-    (b, b) folds zero times zero.
+    carries one, or where one is zero too the first nonzero carrier member
+    (on an infinite carrier, a nonzero sample seeded 0), and b is both an
+    extra source and an extra target, so that (b, b) folds zero times zero.
     """
     _require_violation(alg, CHECK_CRITERION3, (v,))
     zero_v = v == alg.zero
     weights = ""
     if zero_v:
-        if alg.one == alg.zero:
-            raise PreconditionError("construction needs a nonzero one for the self-loop weights")
-        v = alg.one
+        if alg.one != alg.zero:
+            v = alg.one
+        elif alg.is_finite:
+            v = next(x for x in alg.carrier if x != alg.zero)
+        else:
+            v = alg.sample_nonzero(random.Random(0))
         weights = f" with weights {encode_value(v)}"
     x, z = alg.lower(v), alg.lower(alg.zero)
     right_fail = alg.times_op(x, z) != z

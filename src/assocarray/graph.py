@@ -12,6 +12,10 @@ reversed graph.
 the ground truth the product is compared against: the two agree exactly when
 the algebra passes the compliance checks, and the witness constructions in
 the criteria module show each check is needed.
+
+``document_adjacency`` is the product EᵀE of a set-valued shared-words array
+over the powerset algebra; once the rectangle property of word occurrences is
+checked, it is read off the column unions of E without folding the product.
 """
 
 from __future__ import annotations
@@ -230,8 +234,13 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
     an inconsistent array raises a precondition error naming the violation.
     Works although intersection can turn two nonempty sets into the empty set,
     which is exactly the structural loophole the consistency check closes.
-    ``alg`` is the powerset algebra E was built over.  Its intersection
-    commutes, so each unordered pair (i, j) is folded once and mirrored.
+    ``alg`` is the powerset algebra E was built over.
+
+    Once the check passes, the product has a closed form: with C_i the union
+    of column i, entry (i, j) is C_i & C_j.  Each word t occurs exactly on a
+    rectangle R_t x C_t, so t in E(k, i) & E(m, j) puts t in E(k, j) too, and
+    union and intersection distribute: (U_k E(k, i)) & (U_m E(m, j)) =
+    U_k,m E(k, i) & E(m, j) = U_k E(k, i) & E(k, j), the definition's fold.
     """
     violation = check_word_consistency(E)
     if violation is not None:
@@ -240,4 +249,15 @@ def document_adjacency(E: AssociativeArray, alg: Algebra) -> AssociativeArray:
             f"and ({violation.row_b}, {violation.col_b}) but not at "
             f"({violation.row_a}, {violation.col_b})"
         )
-    return _product_t(E, E, alg)
+    plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
+    unions: dict[str, object] = {}  # C_i, lowered: column i folded by ascending k
+    for row in E.rows.values():
+        for i, v in row.items():
+            unions[i] = plus(unions[i], lower(v)) if i in unions else lower(v)
+    cs, z = sorted(unions.items()), lower(alg.zero)
+    rows: dict[str, dict[str, Value]] = {i: {} for i, _ in cs}
+    for n, (i, x) in enumerate(cs):  # row j gets every i < j before its own j >= i: sorted
+        for j, y in cs[n:]:
+            if (v := times(x, y)) != z:
+                rows[i][j] = rows[j][i] = lift(v)
+    return _from_sorted_rows({i: row for i, row in rows.items() if row})

@@ -606,25 +606,44 @@ def test_full_fold_keeps_its_runs_when_plus_commutes_but_does_not_associate():
     assert entries_of(got) == dense_matmul(entries_of(a), entries_of(b), alg)
 
 
-def test_document_adjacency_folds_each_unordered_pair_once():
+SIX_DOCS = {"d1": "a b c", "d2": "b c d", "d3": "d e", "d4": "a e f", "d5": "g", "d6": "c f"}
+
+
+def test_document_adjacency_meets_each_column_pair_once():
+    # The closed form meets the unions of columns i and j once per pair
+    # j >= i: |C| (|C| + 1) / 2 times calls, 21 for these 6 documents, with
+    # or without times_commutes.
+    E = shared_words_array({doc: words.split() for doc, words in SIX_DOCS.items()})
+    ps = make_builtin("powerset", universe=sorted("abcdefg"))
+    n_cols = len(E.col_keys)
+    assert n_cols * (n_cols + 1) // 2 == 21
+    products = []
+    for commutes in (True, False):
+        counting = dataclasses.replace(
+            ps, times_commutes=commutes, times_op=budgeted(ps.times_op, 21, "times")
+        )
+        products.append(list(document_adjacency(E, counting)))
+        assert counting.times_op.calls == 21
+    assert products[0] == products[1] == list(matmul(transpose(E), E, ps))
+
+
+def test_xtx_matmul_folds_each_unordered_pair_once():
     # Row k of E, with n_k stored entries, holds n_k (n_k + 1) / 2 pairs
     # j >= i and n_k^2 ordered pairs.  Powerset proves zero inert, so no law
     # scan calls times; without times_commutes every ordered pair is folded.
-    # matmul(transpose(E), E) is the same product and takes the same loop.
-    docs = {"d1": "a b c", "d2": "b c d", "d3": "d e", "d4": "a e f", "d5": "g", "d6": "c f"}
-    E = shared_words_array({doc: words.split() for doc, words in docs.items()})
+    E = shared_words_array({doc: words.split() for doc, words in SIX_DOCS.items()})
     ps = make_builtin("powerset", universe=sorted("abcdefg"))
     ns = [len(cols) for cols in E.rows.values()]
     pairs, ordered = sum(n * (n + 1) // 2 for n in ns), sum(n * n for n in ns)
     products = []
     for commutes, n_times in ((True, pairs), (False, ordered)):
-        for product in (document_adjacency, lambda x, alg: matmul(transpose(x), x, alg)):
-            counting = dataclasses.replace(
-                ps, times_commutes=commutes, times_op=budgeted(ps.times_op, n_times, "times")
-            )
-            products.append(list(product(E, counting)))
-            assert counting.times_op.calls == n_times
-    assert all(p == products[0] for p in products)  # entries, row order and column order
+        counting = dataclasses.replace(
+            ps, times_commutes=commutes, times_op=budgeted(ps.times_op, n_times, "times")
+        )
+        products.append(list(matmul(transpose(E), E, counting)))
+        assert counting.times_op.calls == n_times
+    # entries, row order and column order
+    assert products[0] == products[1] == list(document_adjacency(E, ps))
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):

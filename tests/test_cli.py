@@ -235,11 +235,21 @@ def test_witness_criterion_3_from_a_zero_witness(capsys, tmp_path, times):
     assert err.endswith("0 times 0 is nonzero, inventing (b, b)\n")
 
 
-def test_witness_criterion_3_zero_witness_needs_a_nonzero_one(capsys, tmp_path):
+def test_witness_criterion_3_zero_witness_with_a_zero_one_takes_the_first_nonzero(
+    capsys, tmp_path
+):
+    # one is zero too, so the self-loop is weighted 1, the first nonzero element
     alg = two_element_table(tmp_path, "1,0\n0,1", one="0")
     code, out, err = run(capsys, "witness", "3", "--algebra", alg)
-    assert (code, out) == (1, "")
-    assert err == "construction needs a nonzero one for the self-loop weights\n"
+    assert code == 0
+    assert out == (
+        "# witness-edges\nk\ta\ta\t1\t1\n# adjacency\na\ta\t1\nb\tb\t1\n"
+        "# oracle\na\ta\n# mismatch\nspurious\tb\tb\t1\n"
+    )
+    assert err == (
+        "self-loop k at a with weights 1 beside isolated vertex b; "
+        "0 times 0 is nonzero, inventing (b, b)\n"
+    )
 
 
 def test_witness_criterion_1_needs_a_nonzero_one(capsys, tmp_path):

@@ -42,7 +42,7 @@ from assocarray.graph import (
     incidence_arrays,
     reverse_adjacency,
 )
-from assocarray.values import Value
+from assocarray.values import Value, encode_value
 from conftest import DATA_DIR, GOLDEN_DIR, load_algebra_file, random_graph, reverse
 
 
@@ -370,6 +370,21 @@ def test_demonstrate_non_annihilating_both_sides(max_plus):
     )
 
 
+def test_witness_annihilator_zero_witness_with_a_zero_one_on_an_infinite_carrier():
+    # 0 times 0 is 1 and one is zero: the self-loop takes the nonzero sample
+    # seeded 0, and every pair with b comes out spurious.
+    ring = make_builtin("integer_ring")
+    alg = dataclasses.replace(
+        ring, one=ring.zero, times_op=lambda x, y: x * y + 1, proved=frozenset()
+    )
+    w = alg.sample_nonzero(random.Random(0))
+    wc = witness_annihilator(alg.zero, alg)
+    assert wc.graph.sources == wc.graph.targets == {"k": {"a": w}}
+    assert wc.description.startswith(f"self-loop k at a with weights {encode_value(w)} ")
+    one = Value.number(1)
+    assert demonstrate(wc, alg).spurious == (("a", "b", one), ("b", "a", one), ("b", "b", one))
+
+
 def test_demonstrate_rejects_wrong_expected_oracle(integers):
     wc = witness_additive_inverse(Value.number(1), Value.number(-1), integers)
     wrong = WitnessCase(
@@ -545,6 +560,19 @@ def test_an_identity_failure_shows_in_the_support_of_all_but_one_two_element_alg
     hidden = [case for case in identity_only if not support_differs(table_algebra(2, *case))]
     # or/and with one = 0: no product reads one
     assert hidden == [(0, ((0, 1), (1, 1)), ((0, 0), (0, 1)))]
+
+
+def test_criterion_3_has_a_witness_on_every_two_element_algebra_that_fails_it():
+    # 448 of the 512 fail criterion 3; the 128 whose witness is zero and whose
+    # one is zero too weight the self-loop 1.  demonstrate raises on no mismatch.
+    failing = 0
+    for case in two_element_algebras():
+        alg = table_algebra(2, *case)
+        verdict = check(alg, CHECK_CRITERION3)
+        if not verdict.passed:
+            failing += 1
+            demonstrate(witness_annihilator(*verdict.witness, alg), alg)
+    assert failing == 448
 
 
 three_element_tables = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * 3)

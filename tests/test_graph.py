@@ -6,6 +6,7 @@ from conftest import (
     DATA_DIR,
     check_invariants,
     check_transpose_identity,
+    dense_matmul,
     entries_of,
     load_algebra_file,
     random_graph,
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import assocarray.array
 from assocarray.algebra import Algebra, make_builtin
-from assocarray.array import _zero_is_inert, empty, from_triples, support
+from assocarray.array import _zero_is_inert, empty, from_triples, matmul, support, transpose
 from assocarray.criteria import demonstrate, witness_annihilator
 from assocarray.errors import DomainError, PreconditionError, ValidationError
 from assocarray.fileio import parse_edge_list
@@ -386,11 +387,80 @@ def test_document_adjacency_disjoint_documents():
 
 
 def test_document_adjacency_rejects_inconsistent_input(powerset_xy):
+    # x occurs at (d1, d2) and (d3, d4), no rectangle: the unions of columns
+    # d2 and d4 meet in {x}, but no row holds x in both, so the fold drops
+    # (d2, d4).  The check refuses E before the closed form could answer.
     w = Value.tokens(["x"])
     E = from_triples([("d1", "d2", w), ("d3", "d4", w)], powerset_xy)
+    fold = dense_matmul(entries_of(transpose(E)), entries_of(E), powerset_xy)
+    assert fold == {("d2", "d2"): w, ("d4", "d4"): w}
+    assert column_union_product(E) == {(i, j): w for i in ("d2", "d4") for j in ("d2", "d4")}
     with pytest.raises(PreconditionError) as exc_info:
         document_adjacency(E, powerset_xy)
     assert str(exc_info.value) == "word 'x' appears at (d1, d2) and (d3, d4) but not at (d1, d4)"
+
+
+def rectangle_triples(rng):
+    """Single-word triples of random word rectangles over a universe of 1 to
+    20 tokens: each word used occurs on every (r, c) of its rows R and
+    columns C, and some triples are given twice.  Row keys d*, r* and column
+    keys d*, c* overlap only on d*."""
+    universe = [f"t{n:02d}" for n in range(rng.choice((rng.randint(1, 12), rng.randint(13, 20))))]
+    rows = [f"d{n}" for n in range(rng.randint(1, 5))] + [f"r{n}" for n in range(rng.randint(0, 2))]
+    cols = [f"d{n}" for n in range(rng.randint(1, 5))] + [f"c{n}" for n in range(rng.randint(0, 2))]
+    triples = []
+    for t in universe:
+        if rng.random() < 0.8:  # else t occurs nowhere
+            R = rng.sample(rows, rng.randint(1, len(rows)))
+            C = rng.sample(cols, rng.randint(1, min(3, len(cols))))
+            triples += [(r, c, Value.tokens([t])) for r in R for c in C]
+    triples += rng.sample(triples, len(triples) // 4)
+    rng.shuffle(triples)
+    return triples, universe
+
+
+def column_union_product(E):
+    """Entry (i, j) is the union of column i met with the union of column j."""
+    unions = {}
+    for _, c, v in E:
+        unions.setdefault(c, set()).update(v)
+    return {
+        (i, j): Value.tokens(unions[i] & unions[j])
+        for i in sorted(unions)
+        for j in sorted(unions)
+        if unions[i] & unions[j]
+    }
+
+
+def test_document_adjacency_closed_form_matches_the_fold():
+    # The closed form against the definition's fold (the dense reference)
+    # and matmul's, on consistent arrays that need not be square nor come
+    # from documents; each case below must come up in the draws.
+    seen = set()
+    for seed in range(300):
+        triples, universe = rectangle_triples(random.Random(seed))
+        alg = make_builtin("powerset", universe=universe)
+        E = from_triples(triples, alg)
+        assert check_word_consistency(E) is None
+        fold = dense_matmul(entries_of(transpose(E)), entries_of(E), alg)
+        got = list(document_adjacency(E, alg))
+        assert got == [(i, j, v) for (i, j), v in fold.items()]  # in row and column order
+        assert got == list(matmul(transpose(E), E, alg))
+        assert fold == column_union_product(E)
+        cols = E.col_keys
+        seen |= {
+            case
+            for case, holds in (
+                ("non-square", len(E.row_keys) != len(cols)),
+                ("row key not a column key", not set(E.row_keys) <= set(cols)),
+                ("columns sharing no word", any((i, j) not in fold for i in cols for j in cols)),
+                ("enumerated universe", alg.is_finite and E.nnz > 0),
+                ("sampled universe", not alg.is_finite and E.nnz > 0),
+                ("duplicates folded by union", len(triples) > E.nnz),
+            )
+            if holds
+        }
+    assert len(seen) == 6, seen
 
 
 @pytest.mark.parametrize(
