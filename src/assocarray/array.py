@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .algebra import CHECK_CRITERION3, CHECK_IDENTITY, Algebra
+from .algebra import CHECK_CRITERION3, CHECK_IDENTITY, Algebra, _same
 from .errors import ValidationError
 from .values import Value, _has_field_break
 
@@ -191,6 +191,11 @@ def _run(plus: Callable, acc, t00, r: int):
     return acc
 
 
+def _natives(row: Mapping[str, Value], lower: Callable) -> Iterable[tuple[str, object]]:
+    # (key, native) per entry, rereadable: the row's own items where lower is the identity
+    return row.items() if lower is _same else list(zip(row, map(lower, row.values())))
+
+
 def _zero_is_inert(alg: Algebra) -> bool:
     """Whether zero is proved a two-sided plus identity and times annihilator.
 
@@ -239,14 +244,17 @@ def matmul(
 
     Both loops run on the algebra's natives: each stored value is lowered
     where it is read, zeros are dropped by comparing natives, and only the
-    results that are stored are lifted back to values.  ``a`` is transposed
-    once, and both loops walk the inner keys k in ascending order as the rows
-    of both operands, folding in the terms of a's column k and b's row k.
+    results that are stored are lifted back to values; where ``lower`` is
+    the identity, the zero-skipping loop does not call it.  ``a`` is
+    transposed once, and both loops walk the inner keys k as the rows of
+    both operands, folding in the terms of a's column k and b's row k.
 
     When zero is proved inert (a two-sided plus identity and a two-sided
     times annihilator), every term with an unstored factor is zero and folds
     away, so the loop folds the outer product of the stored pairs alone; a
-    stored pair whose product is zero folds away too.  For XᵀX with times
+    stored pair whose product is zero folds away too.  It walks k in
+    ascending order, or in the rows' own order when plus is a proved
+    commutative semigroup (``alg.plus_semigroup``).  For XᵀX with times
     commuting, (j, i) folds the terms of (i, j): only j >= i is folded.
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
@@ -269,35 +277,37 @@ def matmul(
     columns that exist only implicitly (all zero) can still be observed.
     """
     at = transpose(a)
-    return _product_t(  # b itself when it equals transpose(a), so XᵀX takes the walk
-        b if at == b else at, b, alg, extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys
+    return _product_t(
+        at.rows, b.rows, alg, symmetric=at == b,
+        extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys,
     )
 
 
 def _product_t(
-    at: AssociativeArray,
-    b: AssociativeArray,
+    at_rows: Mapping[str, Mapping[str, Value]],
+    b_rows: Mapping[str, Mapping[str, Value]],
     alg: Algebra,
     *,
+    symmetric: bool = False,
     extra_row_keys: Iterable[str] = (),
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
-    """:func:`matmul` of ``transpose(at)`` and ``b``: the inner keys are the rows of both.
-    The full fold steps its leading ``t00`` run once, shared by every entry, or takes
-    partial sums when its count of terms other than ``t00`` exceeds the output entries.
-    With ``at is b`` and ``alg.times_commutes``, the inert loop folds j >= i and mirrors."""
+    """:func:`matmul` of transpose(at) and b given as row maps by inner key k, with no
+    zero and no empty row, in any order.  The full fold steps its leading ``t00`` run once,
+    shared by every entry, or takes partial sums when its count of terms other than ``t00``
+    exceeds the output entries.  ``symmetric`` says at equals b as arrays, both levels
+    ascending; with ``alg.times_commutes`` the inert loop then folds j >= i and mirrors."""
     extra_rows = {check_key(k) for k in extra_row_keys}
     extra_cols = {check_key(k) for k in extra_col_keys}
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
     z = lower(alg.zero)
-    at_rows, b_rows = at.rows, b.rows
     rows: dict[str, dict[str, Value]] = {}
     if _zero_is_inert(alg):
         # Each stored value is lowered once.
         accs: dict[str, dict[str, object]] = {}
-        if at is b and alg.times_commutes:
+        if symmetric and alg.times_commutes:
             for row in at_rows.values():
-                xs = list(zip(row, map(lower, row.values())))
+                xs = list(_natives(row, lower))
                 for n, (i, x) in enumerate(xs):
                     acc = accs.setdefault(i, {})
                     for j, y in xs[n:]:  # (j, i) folds these terms too
@@ -310,13 +320,13 @@ def _product_t(
                     if v != z:
                         row[j] = rows[j][i] = lift(v)
             return _from_sorted_rows({i: row for i, row in rows.items() if row})
-        for k, at_row in at_rows.items():
+        # one term per (i, j) and k, so only the order of k can matter
+        for k in at_rows if alg.plus_semigroup else sorted(at_rows):
             b_row = b_rows.get(k)
             if not b_row:
                 continue
-            ys = list(zip(b_row, map(lower, b_row.values())))
-            for i, a_ik in at_row.items():
-                x = lower(a_ik)
+            ys = _natives(b_row, lower)
+            for i, x in _natives(at_rows[k], lower):
                 acc = accs.setdefault(i, {})
                 for j, y in ys:
                     term = times(x, y)
@@ -328,11 +338,11 @@ def _product_t(
                 rows[i] = row
         return _from_sorted_rows(rows)
 
-    inner = sorted(set(at.row_keys) | set(b.row_keys))
+    inner = sorted(set(at_rows) | set(b_rows))
     if not inner:
         return empty()  # every fold is over no terms
-    out_rows = sorted(set(at.col_keys) | extra_rows)
-    out_cols = sorted(set(b.col_keys) | extra_cols)
+    out_rows = sorted(set().union(*at_rows.values(), extra_rows))
+    out_cols = sorted(set().union(*b_rows.values(), extra_cols))
     t00 = times(z, z)
     n, last = len(inner), len(inner) - 1
     # lead[r]: t00 folded with r more t00 terms, up to its fixed point, which
@@ -344,11 +354,11 @@ def _product_t(
     # Row i of a as A_i = {k: (x, x times zero)} and column j of b as B_j =
     # {k: (y, zero times y)}: each value lowered, each term against zero evaluated, once.
     a_keys = {
-        i: {k: (x, times(x, z)) for k, x in zip(r, map(lower, r.values()))}
+        i: {k: (x, times(x, z)) for k, x in _natives(r, lower)}
         for i, r in _by_column(at_rows, out_rows).items()
     }
     b_keys = {
-        j: {k: (y, times(z, y)) for k, y in zip(r, map(lower, r.values()))}
+        j: {k: (y, times(z, y)) for k, y in _natives(r, lower)}
         for j, r in _by_column(b_rows, out_cols).items()
     }
     n_rows, n_cols = len(out_rows), len(out_cols)

@@ -47,7 +47,8 @@ from .fileio import (
     serialize_edge_list,
     serialize_triples,
 )
-# check_word_consistency is unused here but stays: perfbench/tracing.py wraps it.
+# check_word_consistency and incidence_arrays are unused here but stay:
+# perfbench/tracing.py wraps them.
 from .graph import (
     adjacency,
     check_word_consistency,
@@ -129,11 +130,10 @@ def cmd_adjacency(args: argparse.Namespace) -> int:
             for name in failed
         )
         print(f"warning: {alg.name} is not certified: {parts}", file=sys.stderr)
-    pair = incidence_arrays(g)
     reverse = args.subcommand == "reverse-adjacency"
-    adj = reverse_adjacency(pair, alg) if reverse else adjacency(pair, alg)
+    adj = reverse_adjacency(g, alg) if reverse else adjacency(g, alg)
     _write_output(args, serialize_triples(adj))
-    vertices = set(pair.e_out.col_keys).union(pair.e_in.col_keys)
+    vertices = set().union(*g.sources.values(), *g.targets.values())
     print(
         f"vertices={len(vertices)} edges={len(g.sources)} nonzeros={adj.nnz}",
         file=sys.stderr,

@@ -327,14 +327,13 @@ def demonstrate(wc: WitnessCase, alg: Algebra) -> MismatchReport:
     consistency error: a witness that fails to demonstrate anything means
     the checker and the construction have drifted apart.
     """
-    pair = incidence_arrays(wc.graph)
-    oracle = adjacency_oracle(pair)
+    oracle = adjacency_oracle(incidence_arrays(wc.graph))
     if oracle != wc.expected_oracle:
         raise InternalConsistencyError(
             f"oracle {sorted(oracle)} does not match expected {sorted(wc.expected_oracle)}"
         )
     adj = adjacency(
-        pair,
+        wc.graph,
         alg,
         extra_sources=wc.extra_source_vertices,
         extra_targets=wc.extra_target_vertices,

@@ -6,7 +6,9 @@ allowed: several sources or targets per edge).  The incidence view stores
 two arrays with edge keys as rows and vertices as columns; the adjacency
 array of the graph is the product of the transposed out-incidence with the
 in-incidence, and reversing the product order yields the adjacency of the
-reversed graph.
+reversed graph.  Those arrays are a sorted view of the side maps, so
+``adjacency`` folds the side maps themselves, in ascending edge-key order
+only where the algebra's plus needs it.
 
 ``adjacency_oracle`` answers the same question by direct enumeration and is
 the ground truth the product is compared against: the two agree exactly when
@@ -118,7 +120,7 @@ def incidence_arrays(g: Graph) -> IncidencePair:
 
 
 def adjacency(
-    p: IncidencePair,
+    g: Graph,
     alg: Algebra,
     *,
     extra_sources: Iterable[str] = (),
@@ -126,25 +128,22 @@ def adjacency(
 ) -> AssociativeArray:
     """Adjacency array: row x, column y holds the fold of out(k,x) times in(k,y).
 
-    The fold is always the definition's, and the loop is picked from the
-    algebra's laws as in :func:`~assocarray.array.matmul`; neither loop
-    builds a transpose.  The extra key arguments widen the evaluated
-    coordinates to vertices with no stored incidences, which is how spurious
-    adjacency entries against isolated vertices are made observable for
-    non-annihilating algebras.
+    This is E_outᵀE_in, read from the graph's side maps as they are, with no
+    incidence arrays built: the fold is always the definition's, and the
+    loop is picked from the algebra's laws as in
+    :func:`~assocarray.array.matmul`; no loop builds a transpose.  The extra
+    key arguments widen the evaluated coordinates to vertices with no stored
+    incidences, which is how spurious adjacency entries against isolated
+    vertices are made observable for non-annihilating algebras.
     """
     return _product_t(
-        p.e_out,
-        p.e_in,
-        alg,
-        extra_row_keys=extra_sources,
-        extra_col_keys=extra_targets,
+        g.sources, g.targets, alg, extra_row_keys=extra_sources, extra_col_keys=extra_targets
     )
 
 
-def reverse_adjacency(p: IncidencePair, alg: Algebra) -> AssociativeArray:
-    """Adjacency of the reversed graph, from the same incidence pair."""
-    return _product_t(p.e_in, p.e_out, alg)
+def reverse_adjacency(g: Graph, alg: Algebra) -> AssociativeArray:
+    """Adjacency of the reversed graph: E_inᵀE_out, from the same side maps."""
+    return _product_t(g.targets, g.sources, alg)
 
 
 def adjacency_oracle(p: IncidencePair) -> frozenset[tuple[str, str]]:

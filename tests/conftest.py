@@ -310,7 +310,7 @@ def certified_corpus():
                     graph=g,
                     pair=pair,
                     oracle=adjacency_oracle(pair),
-                    adj=adjacency(pair, alg),
+                    adj=adjacency(g, alg),
                 )
             )
         entries[alg.name] = (alg, bucket)
@@ -322,4 +322,4 @@ def reversed_oracle(entry):
 
 
 def reverse_adj(entry, alg):
-    return reverse_adjacency(entry.pair, alg)
+    return reverse_adjacency(entry.graph, alg)

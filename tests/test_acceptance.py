@@ -86,7 +86,7 @@ def test_corpus_reverse_adjacency_matches_reversed_oracle(announce, certified_co
     with announce("reverse adjacency equals the reversed graph's oracle on the corpus"):
         for alg, bucket in certified_corpus.entries.values():
             for entry in bucket:
-                rev = support(reverse_adjacency(entry.pair, alg))
+                rev = support(reverse_adjacency(entry.graph, alg))
                 flipped = frozenset((y, x) for x, y in entry.oracle)
                 assert rev == flipped, alg.name
                 assert reversed_oracle(entry) == flipped, alg.name
@@ -340,7 +340,7 @@ def test_zero_skipping_product_equivalence_and_divergence(announce, certified_co
         mp = make_builtin("max_plus_realzero")
         wc = witness_annihilator(Value.number(5), mp)
         pair = incidence_arrays(wc.graph)
-        full = adjacency(pair, mp, extra_targets=wc.extra_target_vertices)
+        full = adjacency(wc.graph, mp, extra_targets=wc.extra_target_vertices)
         stored = stored_pairs_matmul(
             entries_of(transpose(pair.e_out)), entries_of(pair.e_in), mp
         )

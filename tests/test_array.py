@@ -305,7 +305,7 @@ def test_product_of_a_transpose_matches_dense_oracle(name, reference, data):
     # at is drawn, not built by transpose, so its rows (the inner keys) and
     # b's rows overlap only partly.
     alg, at, b, rows, cols = draw_operands(name, data)
-    got = _product_t(at, b, alg, extra_row_keys=rows, extra_col_keys=cols)
+    got = _product_t(at.rows, b.rows, alg, extra_row_keys=rows, extra_col_keys=cols)
     assert entries_of(got) == reference_product(reference, transpose(at), b, alg, rows, cols)
     check_invariants(got, alg)
 
@@ -313,11 +313,11 @@ def test_product_of_a_transpose_matches_dense_oracle(name, reference, data):
 @differential_cases
 @given(data=st.data())
 def test_product_of_a_transpose_with_itself_matches_dense_oracle(name, reference, data):
-    # at is b: where zero is inert and times commutes, each unordered pair is
+    # symmetric: where zero is inert and times commutes, each unordered pair is
     # folded once and mirrored.  noncommutative.alg has an inert zero but a
     # times that does not commute, so it must keep the general loop.
     alg, x, _, rows, cols = draw_operands(name, data)
-    got = _product_t(x, x, alg, extra_row_keys=rows, extra_col_keys=cols)
+    got = _product_t(x.rows, x.rows, alg, symmetric=True, extra_row_keys=rows, extra_col_keys=cols)
     assert entries_of(got) == reference_product(reference, transpose(x), x, alg, rows, cols)
     check_invariants(got, alg)
 

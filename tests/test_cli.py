@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assocarray import cli
+from assocarray import cli, graph
 from assocarray.algebra import make_builtin
 from assocarray.array import from_triples
 from assocarray.cli import main
@@ -25,7 +25,7 @@ from assocarray.fileio import (
     parse_set_triples,
     serialize_triples,
 )
-from assocarray.graph import adjacency, document_adjacency, incidence_arrays, reverse_adjacency
+from assocarray.graph import adjacency, document_adjacency, reverse_adjacency
 from assocarray.values import Value
 from conftest import check_invariants
 from test_criteria import _golden_algebras
@@ -122,6 +122,22 @@ def test_reverse_adjacency_empty_input(capsys, tmp_path):
     )
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, expected", [("adjacency", "x\ty\tp\n"), ("reverse-adjacency", "y\tx\tp\n")]
+)
+def test_order_sensitive_plus_folds_by_ascending_edge_key(
+    capsys, data_dir, tmp_path, command, expected
+):
+    # noncommutative's plus keeps its first nonzero operand and is no proved
+    # semigroup: k10 sorts before k2, so its term p wins though k2 is listed first
+    edges = tmp_path / "order.edges"
+    edges.write_text("k2\tx\ty\tq\tq\nk10\tx\ty\tp\tp\n")
+    code, out, _ = run(
+        capsys, command, "--algebra", str(data_dir / "noncommutative.alg"), "--input", str(edges)
+    )
+    assert (code, out) == (0, expected)
 
 
 def test_symmetric_digraph_support_matches_forward(capsys, tmp_path):
@@ -420,39 +436,36 @@ ADJACENCY_CASES = [
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_adjacency_writes_what_the_checked_ingest_gives(command, algebra, weights, data):
-    # The CLI's incidence pair takes the parsed graph's maps over; the pair,
-    # the triples, the summary line, or the refusal must be the library
-    # path's.  Both product loops sort their output, so only the pair's
-    # invariants show a side left unsorted.
+    # The CLI's product reads the parsed graph's side maps: the triples, the
+    # summary line, or the refusal must be the library path's, and no
+    # incidence pair is built on the way.
     text = data.draw(multigraph_text_st(weights))
     argv = [command, "--algebra", algebra, "--input"]
     alg = cli.resolve_algebra(cli.build_parser().parse_args([*argv, "input"]))
-    original, built = cli.incidence_arrays, []
+    original, built = graph.IncidencePair, []
 
-    def incidence_pair(g):
-        built.append(original(g))
+    def incidence_pair(*args):
+        built.append(original(*args))
         return built[-1]
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "incidence_arrays", incidence_pair)
+        mp.setattr(graph, "IncidencePair", incidence_pair)  # every incidence_arrays builds one
         path = os.path.join(tmp, "input")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, path])
-        try:
-            g = parse_edge_list(text, alg, role=path)
-        except ParseError as exc:
-            assert (code, out.getvalue(), built) == (2, "", [])
-            assert err.getvalue() == f"error: {exc}\n"
-            return
-    p = incidence_arrays(g)
-    assert built == [p]
-    check_invariants(built[0].e_out, alg)
-    check_invariants(built[0].e_in, alg)
-    adj = reverse_adjacency(p, alg) if command == "reverse-adjacency" else adjacency(p, alg)
-    vertices = set(p.e_out.col_keys) | set(p.e_in.col_keys)
+    assert built == []
+    try:
+        g = parse_edge_list(text, alg, role=path)
+    except ParseError as exc:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"error: {exc}\n"
+        return
+    adj = reverse_adjacency(g, alg) if command == "reverse-adjacency" else adjacency(g, alg)
+    check_invariants(adj, alg)
+    vertices = set().union(*g.sources.values(), *g.targets.values())
     assert (code, out.getvalue()) == (0, serialize_triples(adj))
     assert err.getvalue().splitlines()[-1] == (
         f"vertices={len(vertices)} edges={len(g.sources)} nonzeros={adj.nnz}"

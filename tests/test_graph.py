@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import assocarray.array
-from assocarray.algebra import Algebra, make_builtin
+from assocarray.algebra import BUILTIN_FAMILY_NAMES, Algebra, make_builtin
 from assocarray.array import _zero_is_inert, empty, from_triples, matmul, support, transpose
 from assocarray.criteria import demonstrate, witness_annihilator
 from assocarray.errors import DomainError, PreconditionError, ValidationError
@@ -167,10 +167,9 @@ def test_incidence_reports_the_first_fault_in_reading_order(naturals):
 
 
 def test_adjacency_of_path(naturals):
-    p = incidence_arrays(PATH)
-    adj = adjacency(p, naturals)
+    adj = adjacency(PATH, naturals)
     assert support(adj) == {("a", "b"), ("b", "c")}
-    assert support(adj) == adjacency_oracle(p)
+    assert support(adj) == adjacency_oracle(incidence_arrays(PATH))
 
 
 def test_reverse_swaps_and_involutes():
@@ -181,39 +180,38 @@ def test_reverse_swaps_and_involutes():
 
 
 def test_reverse_adjacency_of_path(naturals):
-    p = incidence_arrays(PATH)
-    assert support(reverse_adjacency(p, naturals)) == {("b", "a"), ("c", "b")}
+    assert support(reverse_adjacency(PATH, naturals)) == {("b", "a"), ("c", "b")}
 
 
 def test_reverse_adjacency_symmetric_digraph(naturals):
-    p = incidence_arrays(build_graph(simple_edges(("e1", "a", "b"), ("e2", "b", "a")), naturals))
-    assert support(reverse_adjacency(p, naturals)) == support(adjacency(p, naturals))
+    g = build_graph(simple_edges(("e1", "a", "b"), ("e2", "b", "a")), naturals)
+    assert support(reverse_adjacency(g, naturals)) == support(adjacency(g, naturals))
 
 
 def test_parallel_edges_fold_in_string_order_of_their_keys(noncommutative):
     # A scan finds noncommutative's zero inert, so both products fold stored
     # pairs alone.  Its plus keeps the first nonzero operand and times keeps
     # the second, so the entry is the term of the edge key that sorts first
-    # as a string: "k10" before "k2".
-    assert _zero_is_inert(noncommutative)
+    # as a string: "k10" before "k2", though the graph lists k2 first.
+    assert _zero_is_inert(noncommutative) and not noncommutative.plus_semigroup
     p, q = noncommutative.decode("p"), noncommutative.decode("q")
     g = build_graph([("k2", {"x": q}, {"y": q}), ("k10", {"x": p}, {"y": p})], noncommutative)
-    pair = incidence_arrays(g)
-    assert entries_of(adjacency(pair, noncommutative)) == {("x", "y"): p}
-    assert entries_of(reverse_adjacency(pair, noncommutative)) == {("y", "x"): p}
+    assert list(g.sources) == ["k2", "k10"]
+    assert entries_of(adjacency(g, noncommutative)) == {("x", "y"): p}
+    assert entries_of(reverse_adjacency(g, noncommutative)) == {("y", "x"): p}
 
 
 def test_empty_graph_everything_empty(naturals):
-    p = incidence_arrays(build_graph((), naturals))
-    assert adjacency(p, naturals) == empty()
-    assert reverse_adjacency(p, naturals) == empty()
-    assert adjacency_oracle(p) == frozenset()
+    g = build_graph((), naturals)
+    assert adjacency(g, naturals) == empty()
+    assert reverse_adjacency(g, naturals) == empty()
+    assert adjacency_oracle(incidence_arrays(g)) == frozenset()
 
 
 def test_oracle_on_hyperedge(naturals):
-    p = incidence_arrays(build_graph([("k", {"a": ONE, "b": ONE}, {"c": ONE})], naturals))
-    assert adjacency_oracle(p) == {("a", "c"), ("b", "c")}
-    assert support(adjacency(p, naturals)) == {("a", "c"), ("b", "c")}
+    g = build_graph([("k", {"a": ONE, "b": ONE}, {"c": ONE})], naturals)
+    assert adjacency_oracle(incidence_arrays(g)) == {("a", "c"), ("b", "c")}
+    assert support(adjacency(g, naturals)) == {("a", "c"), ("b", "c")}
 
 
 def test_oracle_skips_an_edge_the_in_incidence_lacks(naturals):
@@ -240,6 +238,57 @@ def test_oracle_never_calls_the_operations():
     )
     p = incidence_arrays(PATH)
     assert adjacency_oracle(p) == {("a", "b"), ("b", "c")}
+
+
+def shuffled_multigraph(alg, rng):
+    """A seeded graph with hyperedges and parallel edges over at most 6
+    vertices; its edge keys are inserted in shuffled order, and each side
+    lists its vertices in random order."""
+    vertices = [f"v{n}" for n in range(rng.randint(1, 6))]
+    keys = [f"k{n}" for n in range(rng.randint(0, 16))]
+    rng.shuffle(keys)
+    edges = []
+    for k in keys:
+        sides = []
+        for _ in range(2):  # sources, then targets
+            width = min(len(vertices), rng.choice((1, 1, 2, 3)))
+            sides.append({v: alg.sample_nonzero(rng) for v in rng.sample(vertices, width)})
+        edges.append((k, *sides))
+    return build_graph(edges, alg)
+
+
+DIFFERENTIAL_ALGEBRAS = [
+    *((name, {}) for name in BUILTIN_FAMILY_NAMES if name not in ("max_min_chain", "powerset")),
+    ("max_min_chain", {"levels": 4}),
+    ("powerset", {"universe": ["x", "y", "z"]}),
+    *((path.stem, None) for path in sorted(DATA_DIR.glob("*.alg"))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params", DIFFERENTIAL_ALGEBRAS, ids=[name for name, _ in DIFFERENTIAL_ALGEBRAS]
+)
+def test_adjacency_from_the_side_maps_is_the_papers_product(name, params):
+    # adjacency(g) folds g's side maps as inserted; the paper's product is
+    # E_out^T E_in over the sorted incidence arrays.  The two must be equal
+    # entry for entry, with and without extra keys, also when one unsorted
+    # map is both sides, which must not take the sorted XᵀX walk.
+    alg = load_algebra_file(name) if params is None else make_builtin(name, **params)
+    rng = random.Random(30)
+    for _ in range(40):
+        g = shuffled_multigraph(alg, rng)
+        p = incidence_arrays(g)
+        sources, targets = (rng.sample(["iso", "v0"], rng.randint(0, 2)) for _ in "st")
+        forward = adjacency(g, alg, extra_sources=sources, extra_targets=targets)
+        assert forward == matmul(
+            transpose(p.e_out), p.e_in, alg, extra_row_keys=sources, extra_col_keys=targets
+        )
+        backward = reverse_adjacency(g, alg)
+        assert backward == matmul(transpose(p.e_in), p.e_out, alg)
+        loops = adjacency(Graph(g.sources, g.sources), alg)
+        assert loops == matmul(transpose(p.e_out), p.e_out, alg)
+        for arr in (forward, backward, loops):
+            check_invariants(arr, alg)
 
 
 def test_random_graph_is_deterministic_and_valid(naturals):
@@ -480,10 +529,10 @@ def test_no_graph_product_builds_a_transpose(alg, weight, monkeypatch):
         raise AssertionError("a graph product built a transpose")
 
     monkeypatch.setattr(assocarray.array, "transpose", refuse)
-    pair = incidence_arrays(random_graph(alg, random.Random(1)))
-    assert pair.e_out.nnz
-    adjacency(pair, alg, extra_sources=["iso"], extra_targets=["iso"])
-    reverse_adjacency(pair, alg)
+    g = random_graph(alg, random.Random(1))
+    assert g.sources
+    adjacency(g, alg, extra_sources=["iso"], extra_targets=["iso"])
+    reverse_adjacency(g, alg)
     if weight is not None:
         demonstrate(witness_annihilator(weight, alg), alg)
     if alg.name.startswith("powerset"):

@@ -10,7 +10,9 @@ MODULES = sorted(
 
 # module -> imported names it keeps without referencing them, with the reason
 KEPT_UNUSED = {
-    "cli": {"check_word_consistency"},  # perfbench/tracing.py wraps this binding of cli
+    # perfbench/tracing.py wraps these bindings of cli; incidence_arrays is
+    # wrapped for the traced --smoke run, and getattr fails without it
+    "cli": {"check_word_consistency", "incidence_arrays"},
     # graph's products call array._product_t; perfbench/tracing.py wraps these
     # bindings of graph, and would fail without them
     "graph": {"matmul", "transpose"},
