@@ -86,12 +86,18 @@ class Algebra:
     ``known_failures``, which maps each failing check to a witness,
     ``times_commutes``, set when ``times_op(x, y) == times_op(y, x)`` on all
     natives, and ``plus_semigroup``, True when ``plus_op`` is commutative and
-    associative on all natives and False when it is not to be relied on, it
-    describes ``plus_op`` and ``times_op``: a ``dataclasses.replace`` that
-    changes either operation must restate all four, and must keep ``lower``
-    and ``lift`` the encoding its operations take.  Tables leave
-    ``times_commutes`` False and ``plus_semigroup`` None, unstated, so the
-    product may scan their plus.
+    associative on all natives and False when it is not to be relied on, and
+    ``tables``, below, it describes ``plus_op`` and ``times_op``: a
+    ``dataclasses.replace`` that changes either operation must restate all
+    five, and must keep ``lower`` and ``lift`` the encoding its operations
+    take.  Tables leave ``times_commutes`` False and ``plus_semigroup`` None,
+    unstated, so the product may scan their plus.
+
+    ``tables`` is a table algebra's ``(plus_table, times_table)``, the rows
+    ``plus_op`` and ``times_op`` look their results up in, indexed by
+    natives; :func:`~assocarray.criteria.check` searches them for the zero
+    index instead of calling the operations.  Every builtin family leaves it
+    None.
     """
 
     name: str
@@ -109,6 +115,9 @@ class Algebra:
     plus_semigroup: bool | None = None
     lower: Callable[[Value], object] = _same
     lift: Callable[[object], Value] = _same
+    tables: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = field(
+        default=None, repr=False
+    )
 
     @property
     def is_finite(self) -> bool:
@@ -204,7 +213,9 @@ class FiniteAlgebraSpec:
 def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
     """Build a table-lookup algebra from a validated finite spec.
 
-    Its natives are element indices, so each operation is one table cell.
+    Its natives are element indices, so each operation is one table cell,
+    and the algebra keeps the spec's two tables as ``tables`` for the law
+    checks to search.
     """
     spec.validate()
     elements = spec.elements
@@ -237,6 +248,7 @@ def from_finite_spec(spec: FiniteAlgebraSpec, name: str = "finite") -> Algebra:
         carrier=elements,
         lower=index.__getitem__,
         lift=elements.__getitem__,
+        tables=(plus_table, times_table),
     )
 
 

@@ -282,17 +282,18 @@ def parse_finite_algebra(text: str, *, role: str = "algebra") -> FiniteAlgebraSp
                     role, r_line, f"{which} row {i + 1}",
                     f"expected {n} entries, got {len(cells)}",
                 )
-            row = tuple(map(index.get, cells))
-            # names are stripped, so a padded cell misses and only then is stripped
-            if None in row:
+            try:
+                row = tuple(map(index.__getitem__, cells))
+            except KeyError:
+                # names are stripped, so a padded cell misses and only then is stripped
                 cells = [p.strip() for p in cells]
                 row = tuple(map(index.get, cells))
-            if None in row:
-                j = row.index(None)
-                raise ParseError(
-                    role, r_line, f"{which} cell ({i + 1}, {j + 1})",
-                    f"{cells[j]!r} is not a listed element",
-                )
+                if None in row:
+                    j = row.index(None)
+                    raise ParseError(
+                        role, r_line, f"{which} cell ({i + 1}, {j + 1})",
+                        f"{cells[j]!r} is not a listed element",
+                    ) from None
             rows.append(row)
         tables[which] = tuple(rows)
 

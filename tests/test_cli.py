@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -225,6 +226,25 @@ def test_witness_criterion_3_from_table_file(capsys, data_dir, golden_dir):
     )
     assert code == 0
     assert out == (golden_dir / "witness3_annihilator.txt").read_text()
+
+
+TABLE_COMMANDS = (["validate"], ["witness", "1"], ["witness", "2"], ["witness", "3"])
+
+
+def validate_tables(capsys, data_dir):
+    """validate and the three witnesses on every table in tests/data: per
+    call a `=== <file> <command>: exit <code>` line, stdout, then stderr
+    after a `--- stderr` line."""
+    chunks = []
+    for path in sorted(data_dir.glob("*.alg")):
+        for command in TABLE_COMMANDS:
+            code, out, err = run(capsys, *command, "--algebra", str(path))
+            chunks.append(f"=== {path.name} {' '.join(command)}: exit {code}\n{out}--- stderr\n{err}")
+    return "".join(chunks)
+
+
+def test_table_verdicts_and_witnesses_match_golden(capsys, data_dir, golden_dir):
+    assert validate_tables(capsys, data_dir) == (golden_dir / "validate_tables.txt").read_text()
 
 
 def two_element_table(tmp_path, times, one="1", plus="0,1\n1,1"):
@@ -758,6 +778,110 @@ def test_runs_without_a_stdout_when_writing_to_a_file(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8").endswith("certified\ttrue\n")
+
+
+HASH_SEEDS = ("0", "1", "2", "12345")
+
+
+def random_table_text(rng, n):
+    """An n-element table with honest identities and every other cell random."""
+    zero, one = rng.sample(range(n), 2)
+
+    def plus(a, b):
+        return b if a == zero else a if b == zero else rng.randrange(n)
+
+    def times(a, b):
+        return b if a == one else a if b == one else rng.randrange(n)
+
+    rows = [
+        ",".join(str(op(a, b)) for b in range(n))
+        for op in (plus, times) for a in range(n)
+    ]
+    return (
+        f"elements: {','.join(map(str, range(n)))}\nzero: {zero}\none: {one}\n"
+        f"plus:\n{chr(10).join(rows[:n])}\ntimes:\n{chr(10).join(rows[n:])}\n"
+    )
+
+
+def random_edges_text(rng, weights, edges=2000, vertices=40):
+    """Edges over few vertices, so many are parallel; one in four is a
+    hyperedge of up to four lines; keys and lines in shuffled order."""
+    names = [f"v{n:02d}" for n in range(vertices)]
+    lines = []
+    for n in range(edges):
+        hyper = rng.random() < 0.25
+        sources = rng.sample(names, 2 if hyper else 1)
+        targets = rng.sample(names, 2 if hyper else 1)
+        out_w = {s: rng.choice(weights) for s in sources}
+        in_w = {t: rng.choice(weights) for t in targets}
+        lines += [f"k{n}\t{s}\t{t}\t{out_w[s]}\t{in_w[t]}\n" for s in sources for t in targets]
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def shared_words_text(rng, documents=30, vocabulary=40):
+    """The shared-words triples of a random corpus: (i, j) holds the words
+    documents i and j share."""
+    words = [f"w{n:02d}" for n in range(vocabulary)]
+    docs = {f"d{n:02d}": set(rng.sample(words, rng.randint(3, 10))) for n in range(documents)}
+    lines = [
+        f"{i}\t{j}\t{{{','.join(sorted(docs[i] & docs[j]))}}}\n"
+        for i in docs for j in docs if docs[i] & docs[j]
+    ]
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def determinism_cases(data_dir, tmp_path):
+    """CLI argument lists: twelve cases over tests/data, then generated inputs."""
+    rng = random.Random(10)
+    generated = {
+        "random60.alg": random_table_text(rng, 60),
+        "natural.edges": random_edges_text(rng, list(range(1, 10))),
+        "noncommutative.edges": random_edges_text(rng, ["p", "q"]),
+        "corpus.triples": shared_words_text(rng),
+    }
+    for name, text in generated.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    data, tmp = str(data_dir), str(tmp_path)
+    path = f"{data}/path.edges"
+    return [
+        ["adjacency", "--algebra", "natural", "--input", path],
+        ["adjacency", "--algebra", "integer-ring", "--input", f"{data}/cancelling.edges"],
+        ["adjacency", "--algebra", "strings", "--input", path],
+        ["adjacency", "--algebra", f"{data}/annihilator_right.alg", "--input", path],
+        ["adjacency", "--algebra", f"{data}/noncommutative.alg", "--input", path],
+        ["reverse-adjacency", "--algebra", "natural", "--input", path],
+        ["validate", "--algebra", "powerset", "--universe", "x,y"],
+        ["validate", "--algebra", f"{data}/annihilator_right.alg"],
+        ["witness", "1", "--algebra", "integer-ring"],
+        ["witness", "3", "--algebra", f"{data}/annihilator_right.alg"],
+        ["doc-adjacency", "--input", f"{data}/docs.triples"],
+        ["doc-adjacency", "--input", f"{data}/docs_inconsistent.triples"],
+        ["validate", "--algebra", f"{tmp}/random60.alg"],
+        ["witness", "1", "--algebra", f"{tmp}/random60.alg"],
+        # natural's plus is a proved semigroup and folds in parse order;
+        # noncommutative's is not, and folds by ascending edge key
+        ["adjacency", "--algebra", "natural", "--input", f"{tmp}/natural.edges"],
+        ["adjacency", "--algebra", f"{data}/noncommutative.alg", "--input", f"{tmp}/noncommutative.edges"],
+        ["doc-adjacency", "--input", f"{tmp}/corpus.triples"],
+    ]
+
+
+def test_cli_output_is_the_same_under_every_hash_seed(data_dir, tmp_path):
+    for argv in determinism_cases(data_dir, tmp_path):
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "assocarray", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=module_env(PYTHONHASHSEED=seed),
+            )
+            for seed in HASH_SEEDS
+        ]
+        results = {(*proc.communicate(timeout=60), proc.returncode) for proc in procs}
+        assert len(results) == 1, argv
+        ((out, err, code),) = results
+        assert code in (0, 1) and b"Traceback" not in err, (argv, err)
 
 
 @pytest.mark.parametrize("module", ["assocarray", "assocarray.cli"])

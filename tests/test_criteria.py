@@ -574,6 +574,78 @@ def test_criterion_3_has_a_witness_on_every_two_element_algebra_that_fails_it():
     assert failing == 448
 
 
+def random_tables(count, seed):
+    """Seeded tables of 3 to 8 elements, zero and one at any index.  Each
+    draws its off-zero cells from all indices, or the zero index with
+    chance 1/20 or 1/4, or never, so that passes, late and early failures
+    all occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        zero = rng.randrange(n)
+        nonzero = [i for i in range(n) if i != zero]
+        chance = rng.choice((None, 0.05, 0.25, 0.0))
+
+        def cell(x, y):
+            if chance is None or x == zero or y == zero:
+                return rng.randrange(n)
+            return zero if rng.random() < chance else rng.choice(nonzero)
+
+        def table():
+            return tuple(tuple(cell(x, y) for y in range(n)) for x in range(n))
+
+        yield from_finite_spec(FiniteAlgebraSpec(
+            elements=tuple(Value.number(i) for i in range(n)),
+            zero_index=zero,
+            one_index=rng.randrange(n),
+            plus_table=table(),
+            times_table=table(),
+        ), name="random_table")
+
+
+# group -> (its algebras, the criteria among 1 and 2 that some of them fail)
+ROW_SCAN_CASES = {
+    "two_element": (
+        lambda: (table_algebra(2, *case) for case in two_element_algebras()),
+        {CHECK_CRITERION1, CHECK_CRITERION2},
+    ),
+    "random_3_to_8": (lambda: random_tables(400, seed=31), {CHECK_CRITERION1, CHECK_CRITERION2}),
+    "data_files": (
+        lambda: (load_algebra_file(p.stem) for p in sorted(DATA_DIR.glob("*.alg"))),
+        {CHECK_CRITERION1},  # xor_and.alg; none fails criterion 2
+    ),
+}
+
+
+@pytest.mark.parametrize("group", ROW_SCAN_CASES)
+def test_table_row_scan_matches_the_pair_scan(group):
+    # The generic scan is the reference: the same table without its tables.
+    # Criteria 1 and 2 read the rows, so they call an operation at most
+    # once, to replay a witness.
+    algebras, failing = ROW_SCAN_CASES[group]
+    failed = set()
+    for alg in algebras():
+        assert alg.tables is not None
+        calls = []
+
+        def counted(op):
+            return lambda x, y: calls.append(1) or op(x, y)
+
+        counting = dataclasses.replace(
+            alg, plus_op=counted(alg.plus_op), times_op=counted(alg.times_op)
+        )
+        reference = dataclasses.replace(alg, tables=None)
+        for name in (CHECK_IDENTITY, CHECK_CRITERION1, CHECK_CRITERION2, CHECK_CRITERION3):
+            calls.clear()
+            verdict = check(counting, name)
+            assert verdict == check(reference, name), (alg.carrier, alg.tables, name)
+            if name in (CHECK_CRITERION1, CHECK_CRITERION2):
+                assert len(calls) <= 1
+                if not verdict.passed:
+                    failed.add(name)
+    assert failed == failing  # so witnesses are compared, not passes alone
+
+
 three_element_tables = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * 3)
 
 

@@ -569,6 +569,20 @@ def test_parse_finite_algebra_ragged_row_diagnostic():
     assert "expected 2 entries" in exc_info.value.message
 
 
+def test_parse_finite_algebra_padded_cells_parse_as_unpadded():
+    # plus row 2 and times row 1 get padded cells
+    padded = BOOL_TEXT.replace("1,1\n", " 1,1 \n").replace("0,0\n", "0, 0\n")
+    assert padded != BOOL_TEXT
+    assert parse_finite_algebra(padded) == parse_finite_algebra(BOOL_TEXT)
+
+
+def test_parse_finite_algebra_names_an_unknown_cell_after_a_padded_one():
+    text = BOOL_TEXT.replace("1,1\n", " 1,q\n")
+    with pytest.raises(ParseError) as exc_info:
+        parse_finite_algebra(text)
+    assert str(exc_info.value) == "algebra, line 6, plus cell (2, 2): 'q' is not a listed element"
+
+
 def test_parse_finite_algebra_unknown_identity():
     text = BOOL_TEXT.replace("zero: 0", "zero: q")
     with pytest.raises(ParseError) as exc_info:
