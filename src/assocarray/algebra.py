@@ -84,14 +84,13 @@ class Algebra:
 
     ``proved`` names the checks that hold in closed form.  Like
     ``known_failures``, which maps each failing check to a witness,
-    ``times_commutes``, set when ``times_op(x, y) == times_op(y, x)`` on all
-    natives, and ``plus_semigroup``, True when ``plus_op`` is commutative and
-    associative on all natives and False when it is not to be relied on, and
-    ``tables``, below, it describes ``plus_op`` and ``times_op``: a
+    ``plus_semigroup``, True when ``plus_op`` is commutative and associative
+    on all natives and False when it is not to be relied on, and ``tables``,
+    below, it describes ``plus_op`` and ``times_op``: a
     ``dataclasses.replace`` that changes either operation must restate all
-    five, and must keep ``lower`` and ``lift`` the encoding its operations
-    take.  Tables leave ``times_commutes`` False and ``plus_semigroup`` None,
-    unstated, so the product may scan their plus.
+    four, and must keep ``lower`` and ``lift`` the encoding its operations
+    take.  Tables leave ``plus_semigroup`` None, unstated, so the product may
+    scan their plus.
 
     ``tables`` is a table algebra's ``(plus_table, times_table)``, the rows
     ``plus_op`` and ``times_op`` look their results up in, indexed by
@@ -111,7 +110,6 @@ class Algebra:
     sample_op: Callable[[random.Random], Value] | None = None
     known_failures: Mapping[str, tuple[Value, ...]] = field(default_factory=dict)
     proved: frozenset[str] = frozenset()
-    times_commutes: bool = False
     plus_semigroup: bool | None = None
     lower: Callable[[Value], object] = _same
     lift: Callable[[object], Value] = _same
@@ -167,9 +165,9 @@ class Algebra:
 class FiniteAlgebraSpec:
     """Concrete encoding of a finite carrier with operation tables.
 
-    Tables map (left, right) element indices to result indices.  ``validate``
-    checks totality, index ranges, distinct elements, and that the designated
-    identities are listed; violations name the offending cell.
+    Tables map (left, right) element indices to result indices.  ``validate`` checks
+    carrier values, totality, index ranges, distinct elements, and that the designated
+    identities are listed; violations name the offending element or cell.
     """
 
     elements: tuple[Value, ...]
@@ -182,14 +180,19 @@ class FiniteAlgebraSpec:
         n = len(self.elements)
         if n == 0:
             raise ValidationError("element list is empty")
+        encodings = []
+        for i, e in enumerate(self.elements):
+            try:
+                encodings.append(encode_value(e))
+            except (TypeError, ValueError):  # a tuple of non-strings fails to join
+                raise ValidationError(f"element {i} ({e!r}) is not a carrier value") from None
         if len(set(self.elements)) != n:
             raise ValidationError("element list has duplicate values")
-        encodings = [encode_value(e) for e in self.elements]
         if len(set(encodings)) != n:
             raise ValidationError("element encodings are not distinct")
         for label, idx in (("zero", self.zero_index), ("one", self.one_index)):
-            if not 0 <= idx < n:
-                raise ValidationError(f"{label} index {idx} out of range for {n} elements")
+            if type(idx) is not int or not 0 <= idx < n:
+                raise ValidationError(f"{label} index {idx!r} is not an int from 0 to {n - 1}")
         indices = set(range(n))
         for label, table in (("plus", self.plus_table), ("times", self.times_table)):
             if len(table) != n:
@@ -286,7 +289,7 @@ def _numbers(
         plus_op=ops[0], times_op=ops[1], contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not in the carrier of {name}"),
         sample_op=lambda rng: Value.number(draw(rng)),
-        times_commutes=True, plus_semigroup=True,  # times * or +, plus + or max
+        plus_semigroup=True,  # plus + or max
         **laws,
     )
 
@@ -375,7 +378,7 @@ def _max_min_chain(levels: int, name: str | None = None) -> Algebra:
         contains_op=member,
         decode_op=_decoder(parse_number, member, f"is not a level of {name}"),
         carrier=carrier,
-        times_commutes=True, plus_semigroup=True,  # min and max
+        plus_semigroup=True,  # plus max
         proved=frozenset({
             CHECK_IDENTITY,  # max(bottom, x) = x and min(top, x) = x
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is the bottom only when a or b is
@@ -422,7 +425,7 @@ def _max_min_strings() -> Algebra:
         contains_op=member,
         decode_op=decode_op,
         sample_op=sample_op,
-        times_commutes=True, plus_semigroup=True,  # min and max
+        plus_semigroup=True,  # plus max
         proved=frozenset({
             CHECK_IDENTITY,  # "" precedes and <TOP> follows every string
             CHECK_CRITERION1,  # max(a, b) is a or b, so it is "" only when a or b is
@@ -496,7 +499,7 @@ def _powerset(universe: Sequence[str]) -> Algebra:
         known_failures=known_failures,
         lower=lower,
         lift=lift,
-        times_commutes=True, plus_semigroup=True,  # & and | on bitmasks
+        plus_semigroup=True,  # plus | on bitmasks
         proved=frozenset({
             CHECK_IDENTITY,  # {} | x = x and universe & x = x for every subset x
             CHECK_CRITERION1,  # a | b = {} only when a = b = {}

@@ -254,8 +254,7 @@ def matmul(
     away, so the loop folds the outer product of the stored pairs alone; a
     stored pair whose product is zero folds away too.  It walks k in
     ascending order, or in the rows' own order when plus is a proved
-    commutative semigroup (``alg.plus_semigroup``).  For XᵀX with times
-    commuting, (j, i) folds the terms of (i, j): only j >= i is folded.
+    commutative semigroup (``alg.plus_semigroup``).
 
     Otherwise only the terms that differ from ``t00 = times(zero, zero)``
     are evaluated: a stored a(i, k) times a stored b(k, j), a(i, k) times
@@ -276,9 +275,8 @@ def matmul(
     coordinates beyond the stored key sets, so products against rows or
     columns that exist only implicitly (all zero) can still be observed.
     """
-    at = transpose(a)
     return _product_t(
-        at.rows, b.rows, alg, symmetric=at == b,
+        transpose(a).rows, b.rows, alg,
         extra_row_keys=extra_row_keys, extra_col_keys=extra_col_keys,
     )
 
@@ -288,15 +286,13 @@ def _product_t(
     b_rows: Mapping[str, Mapping[str, Value]],
     alg: Algebra,
     *,
-    symmetric: bool = False,
     extra_row_keys: Iterable[str] = (),
     extra_col_keys: Iterable[str] = (),
 ) -> AssociativeArray:
     """:func:`matmul` of transpose(at) and b given as row maps by inner key k, with no
     zero and no empty row, in any order.  The full fold steps its leading ``t00`` run once,
     shared by every entry, or takes partial sums when its count of terms other than ``t00``
-    exceeds the output entries.  ``symmetric`` says at equals b as arrays, both levels
-    ascending; with ``alg.times_commutes`` the inert loop then folds j >= i and mirrors."""
+    exceeds the output entries."""
     extra_rows = {check_key(k) for k in extra_row_keys}
     extra_cols = {check_key(k) for k in extra_col_keys}
     plus, times, lower, lift = alg.plus_op, alg.times_op, alg.lower, alg.lift
@@ -305,21 +301,6 @@ def _product_t(
     if _zero_is_inert(alg):
         # Each stored value is lowered once.
         accs: dict[str, dict[str, object]] = {}
-        if symmetric and alg.times_commutes:
-            for row in at_rows.values():
-                xs = list(_natives(row, lower))
-                for n, (i, x) in enumerate(xs):
-                    acc = accs.setdefault(i, {})
-                    for j, y in xs[n:]:  # (j, i) folds these terms too
-                        term = times(x, y)
-                        if term != z:
-                            acc[j] = plus(acc[j], term) if j in acc else term
-            rows = {i: {} for i in sorted(accs)}  # filled by ascending i, columns stay sorted
-            for i, row in rows.items():
-                for j, v in sorted(accs[i].items()):
-                    if v != z:
-                        row[j] = rows[j][i] = lift(v)
-            return _from_sorted_rows({i: row for i, row in rows.items() if row})
         # one term per (i, j) and k, so only the order of k can matter
         for k in at_rows if alg.plus_semigroup else sorted(at_rows):
             b_row = b_rows.get(k)

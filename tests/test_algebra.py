@@ -461,8 +461,15 @@ def test_finite_spec_rejects_duplicates():
         (dict(elements=()), "element list is empty"),
         (dict(elements=(Value.number(1), Value.text("1"))), "element encodings are not distinct"),
         (dict(times_table=((0, 0),)), "times table has 1 rows, expected 2"),
+        # each element is encoded before the duplicate check hashes it
+        (dict(elements=(True, 2)), r"element 0 \(True\) is not a carrier value"),
+        (dict(elements=(0, [1])), r"element 1 \(\[1\]\) is not a carrier value"),
+        (dict(elements=(0, ("a", 1))), r"element 1 .* is not a carrier value"),
+        (dict(zero_index=0.0), "zero index 0.0 is not an int from 0 to 1"),
+        (dict(one_index=True), "one index True is not an int from 0 to 1"),
     ],
-    ids=["empty", "same-encoding", "missing-row"],
+    ids=["empty", "same-encoding", "missing-row", "bool-element", "unhashable-element",
+         "tuple-of-non-strings", "float-index", "bool-index"],
 )
 def test_finite_spec_rejects_malformed_element_lists_and_tables(changes, message):
     with pytest.raises(ValidationError, match=message):

@@ -313,11 +313,9 @@ def test_product_of_a_transpose_matches_dense_oracle(name, reference, data):
 @differential_cases
 @given(data=st.data())
 def test_product_of_a_transpose_with_itself_matches_dense_oracle(name, reference, data):
-    # symmetric: where zero is inert and times commutes, each unordered pair is
-    # folded once and mirrored.  noncommutative.alg has an inert zero but a
-    # times that does not commute, so it must keep the general loop.
+    # Both operands are x, so every inner key is a row of each.
     alg, x, _, rows, cols = draw_operands(name, data)
-    got = _product_t(x.rows, x.rows, alg, symmetric=True, extra_row_keys=rows, extra_col_keys=cols)
+    got = matmul(transpose(x), x, alg, extra_row_keys=rows, extra_col_keys=cols)
     assert entries_of(got) == reference_product(reference, transpose(x), x, alg, rows, cols)
     check_invariants(got, alg)
 
@@ -611,39 +609,28 @@ SIX_DOCS = {"d1": "a b c", "d2": "b c d", "d3": "d e", "d4": "a e f", "d5": "g",
 
 def test_document_adjacency_meets_each_column_pair_once():
     # The closed form meets the unions of columns i and j once per pair
-    # j >= i: |C| (|C| + 1) / 2 times calls, 21 for these 6 documents, with
-    # or without times_commutes.
+    # j >= i: |C| (|C| + 1) / 2 times calls, 21 for these 6 documents.
     E = shared_words_array({doc: words.split() for doc, words in SIX_DOCS.items()})
     ps = make_builtin("powerset", universe=sorted("abcdefg"))
     n_cols = len(E.col_keys)
     assert n_cols * (n_cols + 1) // 2 == 21
-    products = []
-    for commutes in (True, False):
-        counting = dataclasses.replace(
-            ps, times_commutes=commutes, times_op=budgeted(ps.times_op, 21, "times")
-        )
-        products.append(list(document_adjacency(E, counting)))
-        assert counting.times_op.calls == 21
-    assert products[0] == products[1] == list(matmul(transpose(E), E, ps))
+    counting = dataclasses.replace(ps, times_op=budgeted(ps.times_op, 21, "times"))
+    assert list(document_adjacency(E, counting)) == list(matmul(transpose(E), E, ps))
+    assert counting.times_op.calls == 21
 
 
-def test_xtx_matmul_folds_each_unordered_pair_once():
-    # Row k of E, with n_k stored entries, holds n_k (n_k + 1) / 2 pairs
-    # j >= i and n_k^2 ordered pairs.  Powerset proves zero inert, so no law
-    # scan calls times; without times_commutes every ordered pair is folded.
+def test_xtx_matmul_folds_each_stored_pair():
+    # Row k of E, with n_k stored entries, holds n_k^2 ordered pairs, and
+    # the zero-skipping loop folds each of them: 74 times calls for these 6
+    # documents.  Powerset proves zero inert, so no law scan calls times.
     E = shared_words_array({doc: words.split() for doc, words in SIX_DOCS.items()})
     ps = make_builtin("powerset", universe=sorted("abcdefg"))
-    ns = [len(cols) for cols in E.rows.values()]
-    pairs, ordered = sum(n * (n + 1) // 2 for n in ns), sum(n * n for n in ns)
-    products = []
-    for commutes, n_times in ((True, pairs), (False, ordered)):
-        counting = dataclasses.replace(
-            ps, times_commutes=commutes, times_op=budgeted(ps.times_op, n_times, "times")
-        )
-        products.append(list(matmul(transpose(E), E, counting)))
-        assert counting.times_op.calls == n_times
+    n_times = sum(len(cols) ** 2 for cols in E.rows.values())
+    assert n_times == 74
+    counting = dataclasses.replace(ps, times_op=budgeted(ps.times_op, n_times, "times"))
     # entries, row order and column order
-    assert products[0] == products[1] == list(document_adjacency(E, ps))
+    assert list(matmul(transpose(E), E, counting)) == list(document_adjacency(E, ps))
+    assert counting.times_op.calls == n_times
 
 
 def test_matmul_cancelling_weights_erase_entry(integers):
